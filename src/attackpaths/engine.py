@@ -1,17 +1,21 @@
-"""Worker scheduling: one process per worker, each with its own LIFO stack.
+"""Search runs that write their paths to disk, in this process or in forked
+workers.
 
-Worker 0 starts with the seed path.  Whenever a worker's stack reaches the
-redistribution threshold and some other worker sits idle, the bottom half of
-the stack moves to the lowest-numbered idle worker.  Worker 0 ends the run
-once every worker is idle, every stack is empty and no transfer is in flight;
-the status table, the in-flight counter and all transfer bookkeeping live
-behind one coordination lock so a momentarily-empty worker with a transfer on
-the way can never be mistaken for done.
+Both modes run ``traversal.search_loop``: ``run_single`` as worker 0 of 1 in
+the calling process, where errors surface raw, and ``run_multi`` in one
+forked process per worker, where a failure surfaces as ``EngineError``.  A
+multi-worker run shares its stop flag, final-path count and step budget.
+Whenever a worker's stack reaches the redistribution threshold and some
+other worker sits idle, the bottom half of the stack moves to the
+lowest-numbered idle worker.  Worker 0 ends the run once every worker is
+idle, every stack is empty and no transfer is in flight; the status table,
+the in-flight counter and all transfer bookkeeping live behind one
+coordination lock so a momentarily-empty worker with a transfer on the way
+can never be mistaken for done.
 
-Each worker appends its finalized paths to its own file set and, after the
-traversal phase, sorts its results and writes its sort files.  The parent
-process then merges the final-path and index files and writes the run
-summary.
+Each worker appends its finalized paths to its own file set and then writes
+its sort files.  The calling process merges the final-path and index files
+and writes the run summary.
 """
 
 from __future__ import annotations
@@ -32,21 +36,19 @@ from .pathstore import MergedStore, PathWriter, compute_metrics
 from .traversal import (
     ActionExecutor,
     ActionMode,
-    IdSource,
+    LocalScheduler,
     RunSummary,
-    StepBudget,
+    StepBudgetExceeded,
     StopReason,
     SummaryAccumulator,
     TraversalConfig,
-    expand_path,
-    new_seed_path,
-    single_threaded_search,
+    search_loop,
 )
+# Not called here: benchmarks/tracer.py wraps these under this module's name.
+from .traversal import expand_path, single_threaded_search  # noqa: F401
 
 _WORKING = 0
 _IDLE = 1
-
-PROGRESS_EVERY = 10000
 
 
 class EngineError(Exception):
@@ -89,6 +91,7 @@ class SharedState:
         self.stop = ctx.Value("i", 0, lock=False)
         self.stop_reason = ctx.Value("i", 0, lock=False)
         self.finals = ctx.Value("i", 0)
+        self.steps = ctx.Value("q", 0)
         self.inboxes = [ctx.Queue() for _ in range(worker_count)]
         self.results = ctx.Queue()
 
@@ -131,17 +134,17 @@ def _note_final(shared: SharedState, max_paths: Optional[int]) -> int:
     with shared.finals.get_lock():
         shared.finals.value += 1
         count = shared.finals.value
-        if max_paths is not None and count >= max_paths and shared.stop.value == 0:
-            shared.stop.value = 1
-            shared.stop_reason.value = 1
+    if max_paths is not None and count >= max_paths:
+        _request_stop(shared, 1)
     return count
 
 
-def _note_time_limit(shared: SharedState) -> None:
+def _request_stop(shared: SharedState, reason: int = 0) -> None:
+    """Wind the whole run down; the first request sets the stop reason."""
     with shared.finals.get_lock():
         if shared.stop.value == 0:
             shared.stop.value = 1
-            shared.stop_reason.value = 2
+            shared.stop_reason.value = reason
 
 
 def _drain_inbox(shared: SharedState, worker: int) -> None:
@@ -155,88 +158,102 @@ def _drain_inbox(shared: SharedState, worker: int) -> None:
                 shared.inflight.value -= 1
 
 
+class SharedScheduler:
+    """Scheduling for worker ``worker`` of a multi-worker run: the stop flag,
+    the final-path count and the step budget are shared by all workers, a
+    full stack gives work away, and an empty one waits for a transfer."""
+
+    def __init__(self, shared: SharedState, worker: int, config: EngineConfig, started: float):
+        tcfg = config.traversal
+        self.shared = shared
+        self.worker = worker
+        self.workers = shared.worker_count
+        self.started = started
+        self.deadline = started + tcfg.stop_wall_clock if tcfg.stop_wall_clock else None
+        self.max_paths = tcfg.stop_max_final_paths
+        self.max_steps = tcfg.max_steps
+        self.threshold = config.redistribution_threshold
+
+    def keep_going(self, stack: list) -> bool:
+        shared = self.shared
+        while True:
+            if shared.stop.value or shared.terminated.value:
+                return False
+            if self.deadline is not None and time.perf_counter() > self.deadline:
+                _request_stop(shared, 2)
+                return False
+            redistribute(stack, shared, self.worker, self.threshold)
+            if stack:
+                return True
+            batch = _idle_wait(shared, self.worker)
+            if batch is None:
+                return False
+            stack.extend(batch)
+
+    def note_final(self) -> int:
+        return _note_final(self.shared, self.max_paths)
+
+    def tick(self) -> None:
+        with self.shared.steps.get_lock():
+            self.shared.steps.value += 1
+            used = self.shared.steps.value
+        if used > self.max_steps:
+            raise StepBudgetExceeded(f"step budget of {self.max_steps} exceeded")
+
+
+def _print_progress(count: int) -> None:
+    print(f"[paths] {count} final paths", file=sys.stderr, flush=True)
+
+
+def _search_to_files(
+    net: Network, config: TraversalConfig, scheduler, out_dir, executor: ActionExecutor,
+    sort_and_merge: bool, progress: bool,
+) -> tuple[SummaryAccumulator, float, float]:
+    """Run one worker's search into its path files, then write its sort files.
+    Returns its accumulator and the times its search and its sort ended."""
+    writer = PathWriter(out_dir, scheduler.worker)
+    metrics: list[tuple] = []
+
+    def sink(path):
+        metrics.append((compute_metrics(path, net), writer.append(path)))
+
+    try:
+        acc = search_loop(
+            net, config, scheduler, sink, executor, _print_progress if progress else None
+        )
+    finally:
+        writer.close()
+    done_at = time.perf_counter()
+    if sort_and_merge:
+        pathstore.write_all_sort_files(out_dir, scheduler.worker, metrics)
+    return acc, done_at, time.perf_counter()
+
+
 def _worker_main(
     worker: int,
     net: Network,
     config: EngineConfig,
     out_dir: str,
     shared: SharedState,
-    seed,
-    deadline: Optional[float],
+    started: float,
     sort_and_merge: bool,
     progress: bool,
 ) -> None:
-    tcfg = config.traversal
-    w = shared.worker_count
-    path_ids = IdSource(w if worker == 0 else worker, w)
-    conn_ids = IdSource(worker, w)
-    budget = StepBudget(tcfg.max_steps)
-    executor = ActionExecutor(config.action_mode)
-    writer = PathWriter(out_dir, worker)
-    metrics: list[tuple] = []
-    acc = SummaryAccumulator()
-    stack = [seed] if seed is not None else []
-    error = None
-
+    result = error = None
     try:
-        while True:
-            if shared.stop.value or shared.terminated.value:
-                break
-            if deadline is not None and time.perf_counter() > deadline:
-                _note_time_limit(shared)
-                break
-            redistribute(stack, shared, worker, config.redistribution_threshold)
-            if not stack:
-                batch = _idle_wait(shared, worker)
-                if batch is None:
-                    break
-                stack = batch
-                continue
-            path = stack.pop()
-            in_progress, finals = expand_path(
-                path, net, tcfg, path_ids, conn_ids, executor, budget
-            )
-            stack.extend(in_progress)
-            for f in finals:
-                mv = compute_metrics(f, net)
-                pos = writer.append(f)
-                metrics.append((mv, pos))
-                acc.add(f)
-                count = _note_final(shared, tcfg.stop_max_final_paths)
-                if progress and count % PROGRESS_EVERY == 0:
-                    print(f"[paths] {count} final paths", file=sys.stderr, flush=True)
+        result = _search_to_files(
+            net, config.traversal, SharedScheduler(shared, worker, config, started), out_dir,
+            ActionExecutor(config.action_mode), sort_and_merge, progress,
+        )
     except BaseException:
         error = traceback.format_exc()
-        # Wind the whole run down; the parent raises once messages arrive.
-        with shared.finals.get_lock():
-            if shared.stop.value == 0:
-                shared.stop.value = 1
+        # The parent raises once every message has arrived.
+        _request_stop(shared)
     finally:
-        writer.close()
-        done_at = time.perf_counter()
-        if sort_and_merge and error is None:
-            pathstore.write_all_sort_files(out_dir, worker, metrics)
-        sort_done_at = time.perf_counter()
         _drain_inbox(shared, worker)
         for q in shared.inboxes:
             q.cancel_join_thread()
-        shared.results.put(
-            {
-                "worker": worker,
-                "finals": acc.finals,
-                "connections": acc.connections,
-                "rules": acc.rules,
-                "longest": acc.longest,
-                "shortest": acc.shortest,
-                "done_at": done_at,
-                "sort_done_at": sort_done_at,
-                "actions_run": len(executor.records),
-                "action_failures": sum(
-                    1 for r in executor.records if r.status.startswith("failed")
-                ),
-                "error": error,
-            }
-        )
+        shared.results.put({"result": result, "error": error})
     if error is not None:
         sys.exit(1)
 
@@ -279,6 +296,20 @@ def _prepare_out_dir(out_dir) -> Path:
     return p
 
 
+def _finish_run(
+    out_path: Path, workers: int, summary: RunSummary, sort_and_merge: bool,
+) -> tuple[Optional[MergedStore], RunSummary]:
+    """Merge the workers' files, when asked to, and write the run summary."""
+    store = None
+    if sort_and_merge:
+        merge_start = time.perf_counter()
+        pathstore.merge_final_and_index(out_path, list(range(workers)))
+        summary.sort_merge_seconds += time.perf_counter() - merge_start
+        store = MergedStore(out_path)
+    pathstore.write_run_summary(out_path, summary)
+    return store, summary
+
+
 def run_multi(
     net: Network,
     config: EngineConfig,
@@ -292,20 +323,14 @@ def run_multi(
     workers = config.resolved_workers()
     ctx = multiprocessing.get_context("fork")
     shared = SharedState(ctx, workers)
-    start = time.perf_counter()
-    tcfg = config.traversal
-    deadline = start + tcfg.stop_wall_clock if tcfg.stop_wall_clock else None
-    seed = new_seed_path(net, 0, start)
+    started = time.perf_counter()
 
     procs = []
     for w in range(workers):
         procs.append(
             ctx.Process(
                 target=_worker_main,
-                args=(
-                    w, net, config, str(out_path), shared,
-                    seed if w == 0 else None, deadline, sort_and_merge, progress,
-                ),
+                args=(w, net, config, str(out_path), shared, started, sort_and_merge, progress),
             )
         )
     for p in procs:
@@ -321,9 +346,7 @@ def run_multi(
             if dead:
                 # A worker died without reporting; stop the others and fail.
                 failure = f"worker exited with code {dead[0].exitcode}"
-                with shared.finals.get_lock():
-                    if shared.stop.value == 0:
-                        shared.stop.value = 1
+                _request_stop(shared)
                 deadline_join = time.perf_counter() + 5.0
                 while time.perf_counter() < deadline_join:
                     try:
@@ -339,7 +362,7 @@ def run_multi(
             p.join()
             failure = failure or "worker failed to exit"
 
-    errors = [m["error"] for m in messages if m.get("error")]
+    errors = [m["error"] for m in messages if m["error"]]
     if errors:
         failure = errors[0]
     if failure is None and any(p.exitcode != 0 for p in procs):
@@ -348,41 +371,14 @@ def run_multi(
         _cleanup_worker_files(out_path, workers)
         raise EngineError(f"run failed: {failure}")
 
-    traversal_end = max(m["done_at"] for m in messages)
-    sort_end = max(m["sort_done_at"] for m in messages)
-
+    parts, searches_done, sorts_done = zip(*(m["result"] for m in messages))
     acc = SummaryAccumulator()
-    for m in sorted(messages, key=lambda m: m["worker"]):
-        part = SummaryAccumulator()
-        part.finals = m["finals"]
-        part.connections = m["connections"]
-        part.rules = m["rules"]
-        part.longest = tuple(m["longest"])
-        part.shortest = tuple(m["shortest"])
+    for part in parts:
         acc.merge(part)
-
-    reasons = {0: StopReason.EXHAUSTED, 1: StopReason.MAX_PATHS, 2: StopReason.TIME_LIMIT}
-    summary = RunSummary(
-        total_final_paths=acc.finals,
-        total_connections=acc.connections,
-        total_rules_triggered=acc.rules,
-        longest_chain=acc.longest,
-        shortest_chain=acc.shortest,
-        elapsed_seconds=traversal_end - start,
-        sort_merge_seconds=sort_end - traversal_end,
-        stop_reason=reasons[shared.stop_reason.value],
-        actions_run=sum(m["actions_run"] for m in messages),
-        action_failures=sum(m["action_failures"] for m in messages),
-    )
-
-    store = None
-    if sort_and_merge:
-        merge_start = time.perf_counter()
-        pathstore.merge_final_and_index(out_path, list(range(workers)))
-        summary.sort_merge_seconds += time.perf_counter() - merge_start
-        store = MergedStore(out_path)
-    pathstore.write_run_summary(out_path, summary)
-    return store, summary
+    done_at, sort_done_at = max(searches_done), max(sorts_done)
+    reasons = (StopReason.EXHAUSTED, StopReason.MAX_PATHS, StopReason.TIME_LIMIT)
+    summary = acc.summary(done_at - started, reasons[shared.stop_reason.value], sort_done_at - done_at)
+    return _finish_run(out_path, workers, summary, sort_and_merge)
 
 
 def run_single(
@@ -393,31 +389,15 @@ def run_single(
     executor: Optional[ActionExecutor] = None,
     progress: bool = False,
 ) -> tuple[Optional[MergedStore], RunSummary]:
-    """Run the single-threaded search, writing the same file set as a
-    one-worker run (worker 0) followed by a merge."""
+    """Run the search in this process as worker 0 of 1, writing what a
+    one-worker ``run_multi`` writes; with no ``executor``, actions run dry."""
     out_path = _prepare_out_dir(out_dir)
-    writer = PathWriter(out_path, 0)
-    metrics: list[tuple] = []
-
-    def sink(path):
-        mv = compute_metrics(path, net)
-        pos = writer.append(path)
-        metrics.append((mv, pos))
-
-    report = None
-    if progress:
-        report = lambda n: print(f"[paths] {n} final paths", file=sys.stderr, flush=True)
-    try:
-        summary = single_threaded_search(net, config, sink, executor, report)
-    finally:
-        writer.close()
-
-    store = None
-    if sort_and_merge:
-        t0 = time.perf_counter()
-        pathstore.write_all_sort_files(out_path, 0, metrics)
-        pathstore.merge_final_and_index(out_path, [0])
-        summary.sort_merge_seconds = time.perf_counter() - t0
-        store = MergedStore(out_path)
-    pathstore.write_run_summary(out_path, summary)
-    return store, summary
+    started = time.perf_counter()
+    scheduler = LocalScheduler(config, started)
+    if executor is None:
+        executor = ActionExecutor()
+    acc, done_at, sort_done_at = _search_to_files(
+        net, config, scheduler, out_path, executor, sort_and_merge, progress
+    )
+    summary = acc.summary(done_at - started, scheduler.stop_reason, sort_done_at - done_at)
+    return _finish_run(out_path, 1, summary, sort_and_merge)

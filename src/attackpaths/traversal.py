@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .filters import FilterExpr, evaluate_filter
 from .model import (
@@ -34,7 +34,6 @@ from .model import (
     Network,
     NormalRule,
     Position,
-    PropertyAssignment,
 )
 
 
@@ -165,13 +164,6 @@ class TraversalPath:
         last = self.connections[-1]
         return (last.entity2 or last.entity1).base_id
 
-    def __getstate__(self):
-        return {s: getattr(self, s) for s in self.__slots__}
-
-    def __setstate__(self, state):
-        for k, v in state.items():
-            setattr(self, k, v)
-
 
 def new_seed_path(net: Network, path_id: int, started_at: float) -> TraversalPath:
     return TraversalPath(path_id, dict(net.env_base_values), started_at)
@@ -288,18 +280,10 @@ def _set_fact(
     v.values[fact_id] = value
 
 
-def evaluate_normal_rule(rule: NormalRule, path: TraversalPath, conn: Connection, net: Network) -> bool:
-    if rule.id in conn.triggered_rules:
-        return False
-    return all(lookup_normal_fact(path, c.fact, net) == c.value for c in rule.preconditions)
-
-
 def apply_normal_postconditions(
     rule: NormalRule, path: TraversalPath, conn: Connection, net: Network,
-    fresh: Optional[set[int]] = None,
+    fresh: set[int],
 ) -> None:
-    if fresh is None:
-        fresh = set()
     for post in rule.postconditions:
         if isinstance(post, FactCondition):
             _set_fact(path, conn, post.fact, post.value, net, fresh)
@@ -342,19 +326,11 @@ def evaluate_generic_rule(rule: GenericRule, conn: Connection, net: Network) -> 
     return True
 
 
-def apply_generic_postconditions(rule: GenericRule, path: TraversalPath, conn: Connection, net: Network) -> None:
+def apply_generic_postconditions(rule: GenericRule, conn: Connection, net: Network) -> None:
     for cond in rule.postconditions:
         v = _positioned(conn, cond.position)
         fid = _prop_fact(net, v, cond.common_property)
         v.values[fid] = cond.value
-    # The connection's entities are the freshest variants; make sure the
-    # path's active maps agree (a no-op on connections built here, but it
-    # keeps the operation correct on hand-built ones).
-    for v in (conn.entity1, conn.link, conn.entity2):
-        if v is None:
-            continue
-        vmap = path.container_variants if v.kind == "container" else path.link_variants
-        vmap[v.base_id] = v
 
 
 def _start_only(rule: GenericRule) -> bool:
@@ -369,7 +345,7 @@ def _env_only(rule: NormalRule, net: Network) -> bool:
 
 def run_rules(
     path: TraversalPath, conn: Connection, net: Network, config: TraversalConfig,
-    executor: Optional[ActionExecutor] = None, finalization: bool = False,
+    finalization: bool = False,
 ) -> list[int]:
     """Assess one connection: per iteration at most one normal rule and one
     generic rule fire (ascending rule ID, first match, no re-triggering).  The
@@ -386,13 +362,6 @@ def run_rules(
     generic_count = 0
     limit = config.generic_rule_limit
 
-    def fire_actions(rule):
-        if executor is not None:
-            for aid in rule.action_ids:
-                action = net.actions_by_id.get(aid)
-                if action is not None:
-                    executor.run(rule.id, action)
-
     while True:
         fired = False
         for rule in net.normal_rules_sorted:
@@ -404,7 +373,6 @@ def run_rules(
                 triggered.append(rule.id)
                 tset.add(rule.id)
                 apply_normal_postconditions(rule, path, conn, net, fresh)
-                fire_actions(rule)
                 fired = True
                 break
         if generic_count < limit:
@@ -416,8 +384,7 @@ def run_rules(
                 if evaluate_generic_rule(rule, conn, net):
                     triggered.append(rule.id)
                     tset.add(rule.id)
-                    apply_generic_postconditions(rule, path, conn, net)
-                    fire_actions(rule)
+                    apply_generic_postconditions(rule, conn, net)
                     fired = True
                     generic_count += 1
                     break
@@ -449,13 +416,6 @@ def _fingerprint_seen(head, h: int, fp: tuple) -> bool:
     return False
 
 
-def termination_ok(path: TraversalPath, conn: Connection) -> bool:
-    """True when the connection's fingerprint has not appeared earlier in the
-    path; a repeat means the traversal is looping without new information."""
-    fp = connection_fingerprint(conn, path.env_facts)
-    return not _fingerprint_seen(path.fp_head, hash(fp), fp)
-
-
 class IdSource:
     """Interleaved ID allocator: worker ``w`` of ``stride`` workers issues
     ``w, w + stride, w + 2*stride, ...`` so IDs stay globally unique without
@@ -473,19 +433,6 @@ class IdSource:
         return v
 
 
-class StepBudget:
-    __slots__ = ("used", "limit")
-
-    def __init__(self, limit: Optional[int]):
-        self.used = 0
-        self.limit = limit
-
-    def tick(self):
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
-            raise StepBudgetExceeded(f"step budget of {self.limit} exceeded")
-
-
 def _filter_satisfied(path: TraversalPath, config: TraversalConfig, net: Network) -> bool:
     if config.completion_filter is None:
         return True
@@ -494,18 +441,31 @@ def _filter_satisfied(path: TraversalPath, config: TraversalConfig, net: Network
     return evaluate_filter(config.completion_filter, values)
 
 
+def _run_actions(conn: Connection, net: Network, executor: Optional[ActionExecutor]) -> None:
+    """Run the actions of a kept connection's rules, in firing order."""
+    if executor is None:
+        return
+    for rule_id in conn.triggered_rules:
+        for aid in net.rules_by_id[rule_id].action_ids:
+            action = net.actions_by_id.get(aid)
+            if action is not None:
+                executor.run(rule_id, action)
+
+
 def expand_path(
     path: TraversalPath, net: Network, config: TraversalConfig,
     path_ids: IdSource, conn_ids: IdSource,
     executor: Optional[ActionExecutor] = None,
-    budget: Optional[StepBudget] = None,
+    budget=None,
 ) -> tuple[list[TraversalPath], list[TraversalPath]]:
-    """Expand one popped path.  Returns ``(in_progress, finals)``.
+    """Expand one popped path.  Returns ``(in_progress, finals)``.  Each
+    candidate step first calls ``budget.tick()``, when a budget is given.
 
     A path sitting on the end container with its filter satisfied finalizes
     and emits no branches.  Otherwise one clone per legal link crossing is
     assessed; clones failing the fingerprint check or triggering no generic
-    rule are dropped.
+    rule are dropped.  Rule actions run only for kept connections and on
+    finalization, never for a dropped clone.
     """
     current = path.current_container(config)
     if current == config.end and _filter_satisfied(path, config, net):
@@ -513,7 +473,8 @@ def expand_path(
             budget.tick()
         final = clone_path(path, path_ids.take())
         conn = make_finalization_connection(final, current, conn_ids.take(), net)
-        run_rules(final, conn, net, config, executor, finalization=True)
+        run_rules(final, conn, net, config, finalization=True)
+        _run_actions(conn, net, executor)
         final.connections.append(conn)
         final.finalized_at = time.perf_counter()
         return [], [final]
@@ -524,13 +485,14 @@ def expand_path(
             budget.tick()
         child = clone_path(path, path_ids.take())
         conn = make_connection(child, current, link_id, neighbor, conn_ids.take(), net)
-        run_rules(child, conn, net, config, executor)
+        run_rules(child, conn, net, config)
         fp = connection_fingerprint(conn, child.env_facts)
         h = hash(fp)
         if _fingerprint_seen(child.fp_head, h, fp):
             continue
         if not any(rid in net.generic_rule_ids for rid in conn.triggered_rules):
             continue
+        _run_actions(conn, net, executor)
         child.connections.append(conn)
         child.fp_head = (h, fp, child.fp_head)
         branches.append(child)
@@ -587,6 +549,8 @@ class SummaryAccumulator:
         self.rules = 0
         self.longest = (0, 0)
         self.shortest = (0, 0)
+        self.actions_run = 0
+        self.action_failures = 0
 
     def add(self, path: TraversalPath) -> None:
         n = len(path.connections)
@@ -606,6 +570,8 @@ class SummaryAccumulator:
         self.finals += other.finals
         self.connections += other.connections
         self.rules += other.rules
+        self.actions_run += other.actions_run
+        self.action_failures += other.action_failures
         for attr, better in (("longest", max), ("shortest", min)):
             a, b = getattr(self, attr), getattr(other, attr)
             if a == (0, 0):
@@ -616,6 +582,95 @@ class SummaryAccumulator:
                 setattr(self, attr, (a[0], a[1] + b[1]))
             else:
                 setattr(self, attr, a if better(a[0], b[0]) == a[0] else b)
+
+    def summary(
+        self, elapsed_seconds: float, stop_reason: StopReason, sort_merge_seconds: float = 0.0,
+    ) -> RunSummary:
+        return RunSummary(
+            total_final_paths=self.finals,
+            total_connections=self.connections,
+            total_rules_triggered=self.rules,
+            longest_chain=self.longest,
+            shortest_chain=self.shortest,
+            elapsed_seconds=elapsed_seconds,
+            sort_merge_seconds=sort_merge_seconds,
+            stop_reason=stop_reason,
+            actions_run=self.actions_run,
+            action_failures=self.action_failures,
+        )
+
+
+PROGRESS_EVERY = 10000
+
+
+class LocalScheduler:
+    """Scheduling for a search that runs alone, as worker 0 of 1: no work
+    moves, every bound is counted locally, and a drained stack ends it."""
+
+    worker = 0
+    workers = 1
+
+    def __init__(self, config: TraversalConfig, started: float):
+        self.started = started
+        self.deadline = started + config.stop_wall_clock if config.stop_wall_clock else None
+        self.max_paths = config.stop_max_final_paths
+        self.max_steps = config.max_steps
+        self.steps = 0
+        self.finals = 0
+        self.stop_reason = StopReason.EXHAUSTED
+
+    def keep_going(self, stack: list) -> bool:
+        if not stack:
+            return False
+        if self.max_paths is not None and self.finals >= self.max_paths:
+            self.stop_reason = StopReason.MAX_PATHS
+            return False
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            self.stop_reason = StopReason.TIME_LIMIT
+            return False
+        return True
+
+    def note_final(self) -> int:
+        self.finals += 1
+        return self.finals
+
+    def tick(self) -> None:
+        self.steps += 1
+        if self.steps > self.max_steps:
+            raise StepBudgetExceeded(f"step budget of {self.max_steps} exceeded")
+
+
+def search_loop(
+    net: Network, config: TraversalConfig, scheduler, sink: Callable[[TraversalPath], None],
+    executor: Optional[ActionExecutor] = None,
+    progress: Optional[Callable[[int], None]] = None,
+) -> SummaryAccumulator:
+    """The depth-first search of every run, as worker ``scheduler.worker``
+    of ``scheduler.workers``; worker 0 starts from the seed path.  Before each
+    pop, ``scheduler.keep_going(stack)`` decides whether to go on and may
+    refill an empty stack.  Finalized paths go to ``sink`` and into the
+    returned accumulator."""
+    path_ids = IdSource(scheduler.worker, scheduler.workers)
+    conn_ids = IdSource(scheduler.worker, scheduler.workers)
+    stack = []
+    if scheduler.worker == 0:
+        stack.append(new_seed_path(net, path_ids.take(), scheduler.started))
+    budget = scheduler if config.max_steps is not None else None
+    acc = SummaryAccumulator()
+    while scheduler.keep_going(stack):
+        path = stack.pop()
+        in_progress, finals = expand_path(path, net, config, path_ids, conn_ids, executor, budget)
+        stack.extend(in_progress)
+        for f in finals:
+            sink(f)
+            acc.add(f)
+            count = scheduler.note_final()
+            if progress is not None and count % PROGRESS_EVERY == 0:
+                progress(count)
+    if executor is not None:
+        acc.actions_run = len(executor.records)
+        acc.action_failures = sum(1 for r in executor.records if r.status.startswith("failed"))
+    return acc
 
 
 def single_threaded_search(
@@ -630,42 +685,6 @@ def single_threaded_search(
     when ``stop_wall_clock`` seconds have elapsed.
     """
     started = time.perf_counter()
-    path_ids = IdSource(0, 1)
-    conn_ids = IdSource(0, 1)
-    budget = StepBudget(config.max_steps)
-    acc = SummaryAccumulator()
-    stack = [new_seed_path(net, path_ids.take(), started)]
-    stop = StopReason.EXHAUSTED
-    deadline = started + config.stop_wall_clock if config.stop_wall_clock else None
-
-    while stack:
-        if config.stop_max_final_paths is not None and acc.finals >= config.stop_max_final_paths:
-            stop = StopReason.MAX_PATHS
-            break
-        if deadline is not None and time.perf_counter() > deadline:
-            stop = StopReason.TIME_LIMIT
-            break
-        path = stack.pop()
-        in_progress, finals = expand_path(path, net, config, path_ids, conn_ids, executor, budget)
-        stack.extend(in_progress)
-        for f in finals:
-            acc.add(f)
-            sink(f)
-            if progress is not None and acc.finals % 10000 == 0:
-                progress(acc.finals)
-
-    summary = RunSummary(
-        total_final_paths=acc.finals,
-        total_connections=acc.connections,
-        total_rules_triggered=acc.rules,
-        longest_chain=acc.longest,
-        shortest_chain=acc.shortest,
-        elapsed_seconds=time.perf_counter() - started,
-        stop_reason=stop,
-    )
-    if executor is not None:
-        summary.actions_run = len(executor.records)
-        summary.action_failures = sum(
-            1 for r in executor.records if r.status.startswith("failed")
-        )
-    return summary
+    scheduler = LocalScheduler(config, started)
+    acc = search_loop(net, config, scheduler, sink, executor, progress)
+    return acc.summary(time.perf_counter() - started, scheduler.stop_reason)

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 
 from attackpaths.model import (
+    Action,
     CommonProperty,
     Container,
     Fact,
@@ -169,6 +170,34 @@ def random_model(seed: int, cyclic: bool = False) -> Network:
         environment_facts=tuple(env),
         normal_rules=tuple(normals),
         generic_rules=tuple(rules),
+    )
+
+
+def rules_model(normal=(), generic=(), env=(), link_facts=None, actions=()) -> Network:
+    """Two containers joined by one link, with the given rules."""
+    if link_facts is None:
+        link_facts = (Fact(10, "f10", True, 1), Fact(11, "f11", False, 2))
+    return Network(
+        containers=(Container(1, "C1"), Container(2, "C2", (Fact(12, "f12", False, 2),))),
+        links=(Link(1, "L1", 1, 2, False, link_facts),),
+        common_properties=(CommonProperty(1, "p1"), CommonProperty(2, "p2")),
+        environment_facts=env,
+        normal_rules=normal,
+        generic_rules=generic,
+        actions=actions,
+    )
+
+
+def action_model(command="true", enabled=True) -> Network:
+    """``rules_model`` with one generic rule that carries action 7."""
+    return rules_model(
+        generic=(
+            GenericRule(1, "pass",
+                        (PropertyCondition(Position.LINK, 1, True),),
+                        (PropertyCondition(Position.LINK, 1, True),),
+                        action_ids=(7,)),
+        ),
+        actions=(Action(7, command, enabled),),
     )
 
 

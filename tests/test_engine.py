@@ -20,9 +20,9 @@ from attackpaths.filters import bind_filter, parse_filter
 from attackpaths.model import CustomProperty, Link, Network
 from attackpaths.pathstore import FINAL_PATHS_TITLE, INDEX_TITLE, worker_file
 from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
-from attackpaths.traversal import StopReason, TraversalConfig
+from attackpaths.traversal import StepBudgetExceeded, StopReason, TraversalConfig
 
-from support import canonical_worker_files as canonical_workers, random_model
+from support import action_model, canonical_worker_files as canonical_workers, random_model
 
 CTX = multiprocessing.get_context("fork")
 
@@ -126,25 +126,42 @@ class TestScheduler:
         assert shared.inflight.value == 0
 
 
+def equivalence_cases(filter_net):
+    """(name, network, traversal config) inputs of the equivalence test."""
+    flt = bind_filter(parse_filter("F4:T and F5:T"), filter_net, 2)
+    yield "filter", filter_net, TraversalConfig(start=1, end=2, completion_filter=flt)
+    net = generate_model(SyntheticSpec("layered", width=3, depth=3))
+    start, end = start_and_end(net)
+    yield "layered", net, TraversalConfig(start=start, end=end)
+    yield "action", action_model(), TraversalConfig(start=1, end=2)
+    for seed in range(5):
+        net = random_model(seed)
+        yield f"random{seed}", net, TraversalConfig(start=1, end=max(c.id for c in net.containers))
+
+
 class TestSingleWorkerEquivalence:
     def test_one_worker_run_is_byte_identical_to_single(self, filter_net, tmp_path):
-        cfg = TraversalConfig(
-            start=1, end=2,
-            completion_filter=bind_filter(parse_filter("F4:T and F5:T"), filter_net, 2),
-        )
-        a = tmp_path / "single"
-        b = tmp_path / "multi1"
-        _, s1 = run_single(filter_net, cfg, a)
-        _, s2 = run_multi(filter_net, EngineConfig(cfg, worker_count=1), b)
-        for title in (FINAL_PATHS_TITLE, INDEX_TITLE):
-            assert (
-                worker_file(a, title, 0).read_bytes()
-                == worker_file(b, title, 0).read_bytes()
-            )
-        assert s1.total_final_paths == s2.total_final_paths == 1
-        assert s1.total_connections == s2.total_connections == 6
-        assert s1.total_rules_triggered == s2.total_rules_triggered == 8
-        assert s1.stop_reason is s2.stop_reason is StopReason.EXHAUSTED
+        titles = [FINAL_PATHS_TITLE, INDEX_TITLE] + [
+            k.title for k in pathstore.SortKey if k is not pathstore.SortKey.TOTAL_RUN_TIME
+        ]
+        for case, net, cfg in equivalence_cases(filter_net):
+            a = tmp_path / case / "single"
+            b = tmp_path / case / "multi1"
+            _, s1 = run_single(net, cfg, a)
+            _, s2 = run_multi(net, EngineConfig(cfg, worker_count=1), b)
+            for title in titles:
+                assert (
+                    worker_file(a, title, 0).read_bytes() == worker_file(b, title, 0).read_bytes()
+                ), f"{case}: {title}"
+            d1, d2 = s1.to_dict(), s2.to_dict()
+            for timing in ("elapsed_seconds", "sort_merge_seconds"):
+                del d1[timing], d2[timing]
+            assert d1 == d2, case
+            assert s1.stop_reason is StopReason.EXHAUSTED, case
+            if case == "filter":
+                assert (s1.total_final_paths, s1.total_connections, s1.total_rules_triggered) == (1, 6, 8)
+            if case == "action":
+                assert s1.actions_run == 1
 
 
 class TestMultiWorker:
@@ -236,6 +253,20 @@ class TestStopsMulti:
         )
         assert summary.stop_reason is StopReason.MAX_PATHS
         assert 10 <= summary.total_final_paths <= 10 + workers
+
+    def test_step_budget_is_one_for_the_run(self, tmp_path):
+        # 60 steps are fewer than the run takes in total, but more than
+        # either worker takes alone.
+        net = generate_model(SyntheticSpec("layered", width=3, depth=3))
+        start, end = start_and_end(net)
+        cfg = TraversalConfig(start=start, end=end, max_steps=60)
+        with pytest.raises(StepBudgetExceeded):
+            run_single(net, cfg, tmp_path / "s")
+        with pytest.raises(EngineError, match="StepBudgetExceeded"):
+            run_multi(
+                net, EngineConfig(cfg, worker_count=2, redistribution_threshold=2), tmp_path / "m"
+            )
+        assert list((tmp_path / "m").glob("*.tmp")) == []
 
     def test_time_limit_reported(self, tmp_path):
         net = generate_model(SyntheticSpec("layered", width=4, depth=4))

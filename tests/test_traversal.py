@@ -8,7 +8,6 @@ from attackpaths.model import (
     Fact,
     FactCondition,
     GenericRule,
-    Link,
     Network,
     NormalRule,
     Position,
@@ -20,7 +19,7 @@ from attackpaths.traversal import (
     ActionExecutor,
     ActionMode,
     IdSource,
-    StepBudget,
+    LocalScheduler,
     StepBudgetExceeded,
     StopReason,
     SummaryAccumulator,
@@ -28,15 +27,15 @@ from attackpaths.traversal import (
     TraversalError,
     apply_normal_postconditions,
     clone_path,
-    connection_fingerprint,
     expand_path,
     lookup_normal_fact,
     make_connection,
     new_seed_path,
     run_rules,
     single_threaded_search,
-    termination_ok,
 )
+
+from support import action_model, rules_model
 
 
 def run_search(net, config, executor=None):
@@ -134,20 +133,6 @@ class TestScenarios:
     def test_final_env_is_base_env(self, filter_net):
         finals, _ = run_search(filter_net, fixture_config(filter_net))
         assert finals[0].env_facts == {}
-
-
-def rules_model(normal=(), generic=(), env=(), link_facts=None, actions=()):
-    if link_facts is None:
-        link_facts = (Fact(10, "f10", True, 1), Fact(11, "f11", False, 2))
-    return Network(
-        containers=(Container(1, "C1"), Container(2, "C2", (Fact(12, "f12", False, 2),))),
-        links=(Link(1, "L1", 1, 2, False, link_facts),),
-        common_properties=(CommonProperty(1, "p1"), CommonProperty(2, "p2")),
-        environment_facts=env,
-        normal_rules=normal,
-        generic_rules=generic,
-        actions=actions,
-    )
 
 
 def one_connection(net, config=None):
@@ -373,21 +358,25 @@ class TestIsolation:
 
 
 class TestFingerprints:
+    def seed_with_repeated_crossing(self, net, cfg):
+        """A seed on C1 whose fingerprint chain already holds the state the
+        crossing C1 -L1-> C2 produces."""
+        seed = new_seed_path(net, 0, 0.0)
+        (branch,), _ = expand_path(seed, net, cfg, IdSource(1, 1), IdSource(0, 1))
+        seed.fp_head = branch.fp_head
+        return seed
+
     def test_repeat_state_is_seen(self, filter_net):
-        path = new_seed_path(filter_net, 0, 0.0)
-        conn = make_connection(path, 1, 1, 2, 0, filter_net)
-        fp = connection_fingerprint(conn, path.env_facts)
-        assert termination_ok(path, conn) is True
-        path.fp_head = (hash(fp), fp, None)
-        assert termination_ok(path, conn) is False
+        cfg = fixture_config(filter_net)
+        seed = self.seed_with_repeated_crossing(filter_net, cfg)
+        assert expand_path(seed, filter_net, cfg, IdSource(1, 1), IdSource(0, 1)) == ([], [])
 
     def test_env_change_differentiates(self, filter_net):
-        path = new_seed_path(filter_net, 0, 0.0)
-        conn = make_connection(path, 1, 1, 2, 0, filter_net)
-        fp = connection_fingerprint(conn, path.env_facts)
-        path.fp_head = (hash(fp), fp, None)
-        path.env_facts[999] = True
-        assert termination_ok(path, conn) is True
+        cfg = fixture_config(filter_net)
+        seed = self.seed_with_repeated_crossing(filter_net, cfg)
+        seed.env_facts[999] = True
+        branches, _ = expand_path(seed, filter_net, cfg, IdSource(1, 1), IdSource(0, 1))
+        assert len(branches) == 1
 
     def test_search_terminates_on_stateless_loop(self, filter_net):
         # End container 3 unreachable by filter state: with an unsatisfiable
@@ -460,29 +449,17 @@ class TestStops:
             run_search(net, TraversalConfig(start=start, end=end, max_steps=2))
 
     def test_step_budget_object(self):
-        b = StepBudget(2)
+        b = LocalScheduler(TraversalConfig(start=1, end=2, max_steps=2), 0.0)
         b.tick()
         b.tick()
         with pytest.raises(StepBudgetExceeded):
             b.tick()
-        assert StepBudget(None) and True  # unlimited budget never raises
 
 
 class TestActions:
-    def make_net(self, command="true", enabled=True):
-        return rules_model(
-            generic=(
-                GenericRule(1, "pass",
-                            (PropertyCondition(Position.LINK, 1, True),),
-                            (PropertyCondition(Position.LINK, 1, True),),
-                            action_ids=(7,)),
-            ),
-            actions=(Action(7, command, enabled),),
-        )
-
     def test_dry_run_records_without_executing(self, tmp_path):
         marker = tmp_path / "ran"
-        net = self.make_net(f"touch {marker}")
+        net = action_model(f"touch {marker}")
         executor = ActionExecutor(ActionMode.DRY_RUN)
         finals, summary = run_search(
             net, TraversalConfig(start=1, end=2), executor
@@ -497,24 +474,49 @@ class TestActions:
 
     def test_execute_runs_command(self, tmp_path):
         marker = tmp_path / "ran"
-        net = self.make_net(f"touch {marker}")
+        net = action_model(f"touch {marker}")
         executor = ActionExecutor(ActionMode.EXECUTE)
         run_search(net, TraversalConfig(start=1, end=2), executor)
         assert marker.exists()
         assert executor.records[0].status == "exit 0"
 
     def test_nonzero_exit_recorded_not_raised(self):
-        net = self.make_net("exit 3")
+        net = action_model("exit 3")
         executor = ActionExecutor(ActionMode.EXECUTE)
         finals, _ = run_search(net, TraversalConfig(start=1, end=2), executor)
         assert len(finals) == 1
         assert executor.records[0].status == "exit 3"
 
     def test_disabled_action_skipped(self):
-        net = self.make_net(enabled=False)
+        net = action_model(enabled=False)
         executor = ActionExecutor(ActionMode.EXECUTE)
         run_search(net, TraversalConfig(start=1, end=2), executor)
         assert executor.records == []
+
+    def test_dropped_move_runs_no_action(self):
+        # Normal rule 1 fires on the only crossing, but the link fails the
+        # generic rule, so the move is dropped and its action must not run.
+        # On finalization (start = end) the same rule fires and its action runs.
+        net = rules_model(
+            normal=(NormalRule(1, "always", (FactCondition(50, True),),
+                               (FactCondition(50, True),), action_ids=(7,)),),
+            generic=(
+                GenericRule(2, "needs p1 clear",
+                            (PropertyCondition(Position.LINK, 1, False),),
+                            (PropertyCondition(Position.LINK, 1, False),)),
+            ),
+            env=(Fact(50, "go", True),),
+            actions=(Action(7, "true"),),
+        )
+        executor = ActionExecutor(ActionMode.DRY_RUN)
+        finals, summary = run_search(net, TraversalConfig(start=1, end=2), executor)
+        assert finals == []
+        assert executor.records == []
+        assert summary.actions_run == 0
+        finals, summary = run_search(net, TraversalConfig(start=1, end=1), executor)
+        assert len(finals) == 1
+        assert [(r.rule_id, r.action_id) for r in executor.records] == [(1, 7)]
+        assert summary.actions_run == 1
 
 
 class TestSummaryAccumulator:
