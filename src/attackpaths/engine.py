@@ -7,11 +7,13 @@ forked process per worker, where a failure surfaces as ``EngineError``.  A
 multi-worker run shares its stop flag, final-path count and step budget.
 Whenever a worker's stack reaches the redistribution threshold and some
 other worker sits idle, the bottom half of the stack moves to the
-lowest-numbered idle worker.  Worker 0 ends the run once every worker is
-idle, every stack is empty and no transfer is in flight; the status table,
-the in-flight counter and all transfer bookkeeping live behind one
-coordination lock so a momentarily-empty worker with a transfer on the way
-can never be mistaken for done.
+lowest-numbered idle worker.  An idle worker sleeps on its bell until a
+transfer or a stop rings it.  The worker that goes idle and finds every
+worker idle ends the run.  That is safe because a transfer marks its
+receiver working, under the coordination lock, before it sends, and the
+receiver stays working until it has taken the batch: "every worker idle"
+already means "no transfer in flight".  The workers share the status table,
+so no termination token has to travel between them.
 
 Each worker appends its finalized paths to its own file set and then writes
 its sort files.  The calling process merges the final-path and index files
@@ -86,26 +88,13 @@ class SharedState:
         self.worker_count = worker_count
         self.coord_lock = ctx.Lock()
         self.status = ctx.Array("i", [_WORKING] * worker_count, lock=False)
-        self.inflight = ctx.Value("i", 0, lock=False)
-        self.terminated = ctx.Value("i", 0, lock=False)
         self.stop = ctx.Value("i", 0, lock=False)
         self.stop_reason = ctx.Value("i", 0, lock=False)
         self.finals = ctx.Value("i", 0)
         self.steps = ctx.Value("q", 0)
+        self.bells = [ctx.Semaphore(0) for _ in range(worker_count)]
         self.inboxes = [ctx.Queue() for _ in range(worker_count)]
         self.results = ctx.Queue()
-
-
-def detect_termination(shared: SharedState) -> bool:
-    """Worker 0's end-of-run check, double-checked under the coordination
-    lock: true only when every worker is idle and no transfer is pending."""
-    with shared.coord_lock:
-        if all(shared.status[i] == _IDLE for i in range(shared.worker_count)) and (
-            shared.inflight.value == 0
-        ):
-            shared.terminated.value = 1
-            return True
-    return False
 
 
 def redistribute(stack: list, shared: SharedState, worker: int, threshold: int) -> Optional[int]:
@@ -122,11 +111,11 @@ def redistribute(stack: list, shared: SharedState, worker: int, threshold: int) 
         if target is None:
             return None
         shared.status[target] = _WORKING
-        shared.inflight.value += 1
     half = len(stack) // 2
     batch = stack[:half]
     del stack[:half]
     shared.inboxes[target].put(batch)
+    shared.bells[target].release()
     return target
 
 
@@ -140,22 +129,16 @@ def _note_final(shared: SharedState, max_paths: Optional[int]) -> int:
 
 
 def _request_stop(shared: SharedState, reason: int = 0) -> None:
-    """Wind the whole run down; the first request sets the stop reason."""
+    """Wind the whole run down; the first request sets the stop reason and
+    wakes every idle worker."""
     with shared.finals.get_lock():
-        if shared.stop.value == 0:
+        first = shared.stop.value == 0
+        if first:
             shared.stop.value = 1
             shared.stop_reason.value = reason
-
-
-def _drain_inbox(shared: SharedState, worker: int) -> None:
-    while True:
-        try:
-            shared.inboxes[worker].get_nowait()
-        except queue.Empty:
-            return
-        else:
-            with shared.coord_lock:
-                shared.inflight.value -= 1
+    if first:
+        for bell in shared.bells:
+            bell.release()
 
 
 class SharedScheduler:
@@ -177,7 +160,7 @@ class SharedScheduler:
     def keep_going(self, stack: list) -> bool:
         shared = self.shared
         while True:
-            if shared.stop.value or shared.terminated.value:
+            if shared.stop.value:
                 return False
             if self.deadline is not None and time.perf_counter() > self.deadline:
                 _request_stop(shared, 2)
@@ -250,7 +233,6 @@ def _worker_main(
         # The parent raises once every message has arrived.
         _request_stop(shared)
     finally:
-        _drain_inbox(shared, worker)
         for q in shared.inboxes:
             q.cancel_join_thread()
         shared.results.put({"result": result, "error": error})
@@ -259,22 +241,22 @@ def _worker_main(
 
 
 def _idle_wait(shared: SharedState, worker: int):
-    """Mark this worker idle and wait for a transfer.  Returns the received
-    batch, or None when the run is over."""
+    """Mark this worker idle and sleep until its bell rings.  Returns the
+    received batch, or None when the run is over.  The worker that finds
+    every worker idle ends the run."""
     with shared.coord_lock:
         shared.status[worker] = _IDLE
-    while True:
-        if shared.stop.value or shared.terminated.value:
-            return None
-        if worker == 0 and detect_termination(shared):
-            return None
+        last = all(s == _IDLE for s in shared.status)
+    if last:
+        _request_stop(shared)
+        return None
+    shared.bells[worker].acquire()
+    while not shared.stop.value:
         try:
-            batch = shared.inboxes[worker].get(timeout=0.005)
+            return shared.inboxes[worker].get(timeout=0.1)
         except queue.Empty:
-            continue
-        with shared.coord_lock:
-            shared.inflight.value -= 1
-        return batch
+            pass  # the batch is still in transit
+    return None
 
 
 def _cleanup_worker_files(out_dir, workers: int) -> None:
@@ -396,8 +378,12 @@ def run_single(
     scheduler = LocalScheduler(config, started)
     if executor is None:
         executor = ActionExecutor()
-    acc, done_at, sort_done_at = _search_to_files(
-        net, config, scheduler, out_path, executor, sort_and_merge, progress
-    )
+    try:
+        acc, done_at, sort_done_at = _search_to_files(
+            net, config, scheduler, out_path, executor, sort_and_merge, progress
+        )
+    except BaseException:
+        _cleanup_worker_files(out_path, 1)
+        raise
     summary = acc.summary(done_at - started, scheduler.stop_reason, sort_done_at - done_at)
     return _finish_run(out_path, 1, summary, sort_and_merge)

@@ -309,9 +309,7 @@ def evaluate_generic_rule(rule: GenericRule, conn: Connection, net: Network) -> 
     """A generic rule matches when every precondition's entity holds a fact on
     the named property with the required value, and every postcondition's
     property is present on its entity.  Missing entity or property means no
-    match."""
-    if rule.id in conn.triggered_rules:
-        return False
+    match.  ``run_rules`` skips rules already triggered on the connection."""
     for cond in rule.preconditions:
         v = _positioned(conn, cond.position)
         if v is None:

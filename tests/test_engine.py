@@ -1,16 +1,19 @@
 import multiprocessing
-import queue
+import os
+import threading
+import time
 
 import pytest
 
-from attackpaths import pathstore
+from attackpaths import engine, pathstore
 from attackpaths.engine import (
     _IDLE,
     _WORKING,
     EngineConfig,
     EngineError,
     SharedState,
-    detect_termination,
+    _idle_wait,
+    _request_stop,
     plan_workers,
     redistribute,
     run_multi,
@@ -54,7 +57,8 @@ class TestScheduler:
         stack = list(range(9))
         assert redistribute(stack, shared, 0, 10) is None
         assert len(stack) == 9
-        assert shared.inflight.value == 0
+        assert shared.status[1] == _IDLE
+        assert not shared.bells[1].acquire(block=False)
 
     def test_redistribute_without_idle_worker(self):
         shared = SharedState(CTX, 2)
@@ -72,7 +76,8 @@ class TestScheduler:
         assert target == 1
         assert stack == [5, 6, 7, 8, 9]
         assert shared.status[1] == _WORKING
-        assert shared.inflight.value == 1
+        assert shared.bells[1].acquire(block=False)
+        assert not shared.bells[2].acquire(block=False)
         assert shared.inboxes[1].get(timeout=2.0) == [0, 1, 2, 3, 4]
 
     def test_redistribute_odd_stack(self):
@@ -83,21 +88,52 @@ class TestScheduler:
         assert stack == [5, 6, 7, 8, 9, 10]
         assert shared.inboxes[1].get(timeout=2.0) == [0, 1, 2, 3, 4]
 
-    def test_termination_needs_all_idle(self):
-        shared = SharedState(CTX, 2)
-        shared.status[0] = _IDLE
-        assert detect_termination(shared) is False
-        shared.status[1] = _IDLE
-        assert detect_termination(shared) is True
-        assert shared.terminated.value == 1
+    @staticmethod
+    def idle(shared, worker):
+        """Run ``_idle_wait`` in a daemon thread, so a worker that is never
+        woken fails the test instead of hanging it."""
+        got = {}
+        thread = threading.Thread(
+            target=lambda: got.setdefault("batch", _idle_wait(shared, worker)), daemon=True
+        )
+        thread.start()
+        return thread, got
 
-    def test_termination_blocked_by_inflight_transfer(self):
+    def test_last_idle_worker_ends_the_run(self):
         shared = SharedState(CTX, 2)
-        shared.status[0] = _IDLE
         shared.status[1] = _IDLE
-        shared.inflight.value = 1
-        assert detect_termination(shared) is False
-        assert shared.terminated.value == 0
+        thread, got = self.idle(shared, 0)
+        thread.join(timeout=5.0)
+        assert got == {"batch": None}
+        assert (shared.stop.value, shared.stop_reason.value) == (1, 0)
+
+    def test_transfer_receiver_keeps_the_run_going(self):
+        # Worker 1 sleeps, worker 0 hands it work and goes idle: worker 1 is
+        # working, so worker 0 sleeps too, until worker 1 goes idle last.
+        shared = SharedState(CTX, 2)
+        receiver, received = self.idle(shared, 1)
+        while shared.status[1] != _IDLE:
+            time.sleep(0.001)
+        assert redistribute(list(range(4)), shared, 0, 2) == 1
+        receiver.join(timeout=5.0)
+        assert received == {"batch": [0, 1]}
+        giver, woken = self.idle(shared, 0)
+        giver.join(timeout=0.2)
+        assert giver.is_alive()
+        assert shared.stop.value == 0
+        last, ended = self.idle(shared, 1)
+        last.join(timeout=5.0)
+        giver.join(timeout=5.0)
+        assert ended == woken == {"batch": None}
+        assert (shared.stop.value, shared.stop_reason.value) == (1, 0)
+
+    def test_idle_wait_after_stop_returns_at_once(self):
+        shared = SharedState(CTX, 2)
+        _request_stop(shared, 1)
+        thread, got = self.idle(shared, 0)
+        thread.join(timeout=0.5)
+        assert got == {"batch": None}
+        assert shared.stop_reason.value == 1
 
     def test_note_final_sets_stop_at_limit(self):
         from attackpaths.engine import _note_final
@@ -109,21 +145,6 @@ class TestScheduler:
         assert _note_final(shared, 3) == 3
         assert shared.stop.value == 1
         assert shared.stop_reason.value == 1
-
-    def test_drain_inbox_balances_inflight(self):
-        from attackpaths.engine import _drain_inbox
-
-        shared = SharedState(CTX, 1)
-        stale = queue.Queue()  # placeholder to silence linters; real queue below
-        del stale
-        shared.inboxes[0].put([1])
-        shared.inboxes[0].put([2])
-        shared.inflight.value = 2
-        import time
-
-        time.sleep(0.05)  # let the feeder thread land both batches
-        _drain_inbox(shared, 0)
-        assert shared.inflight.value == 0
 
 
 def equivalence_cases(filter_net):
@@ -223,6 +244,22 @@ class TestMultiWorker:
             )
             assert canonical_workers(sdir, 1) == canonical_workers(mdir, 2), f"seed {seed}"
 
+    def test_four_workers_with_tiny_batches_lose_no_work(self, tmp_path):
+        # Four workers handing batches of two back and forth: a lost batch
+        # or a run ended with a batch in flight shows as a missing path.
+        net = generate_model(SyntheticSpec("complete", n=6, template="no_revisit"))
+        start, end = start_and_end(net)
+        cfg = TraversalConfig(start=start, end=end)
+        run_single(net, cfg, tmp_path / "s", sort_and_merge=False)
+        expected = canonical_workers(tmp_path / "s", 1)
+        for attempt in range(20):
+            out = tmp_path / f"m{attempt}"
+            run_multi(
+                net, EngineConfig(cfg, worker_count=4, redistribution_threshold=2), out,
+                sort_and_merge=False,
+            )
+            assert canonical_workers(out, 4) == expected, attempt
+
     def test_merged_store_counts(self, tmp_path):
         net = generate_model(SyntheticSpec("layered", width=2, depth=3))
         start, end = start_and_end(net)
@@ -262,6 +299,7 @@ class TestStopsMulti:
         cfg = TraversalConfig(start=start, end=end, max_steps=60)
         with pytest.raises(StepBudgetExceeded):
             run_single(net, cfg, tmp_path / "s")
+        assert list((tmp_path / "s").glob("*.tmp")) == []
         with pytest.raises(EngineError, match="StepBudgetExceeded"):
             run_multi(
                 net, EngineConfig(cfg, worker_count=2, redistribution_threshold=2), tmp_path / "m"
@@ -305,6 +343,22 @@ class TestFailures:
         net = self.broken_net()
         with pytest.raises(pathstore.MetricsError):
             run_single(net, TraversalConfig(start=1, end=3), tmp_path)
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_dead_worker_fails_cleanly(self, tmp_path, monkeypatch):
+        # Worker 0 dies on its only final path while worker 1 sleeps idle:
+        # the parent's stop has to wake worker 1.
+        def die(path, net):
+            os._exit(3)
+
+        monkeypatch.setattr(engine, "compute_metrics", die)
+        net = generate_model(SyntheticSpec("chain", n=4))
+        start, end = start_and_end(net)
+        started = time.perf_counter()
+        with pytest.raises(EngineError, match="code 3"):
+            run_multi(net, EngineConfig(TraversalConfig(start=start, end=end), worker_count=2), tmp_path)
+        assert time.perf_counter() - started < 5.0
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_unwritable_out_dir(self, tmp_path):
         blocked = tmp_path / "file"
