@@ -1,9 +1,14 @@
 """Binary persistence for finalized paths.
 
 All integers are little-endian two's complement; floats are IEEE 754 doubles.
-Record layouts:
+Each fixed-width record shape has one ``struct.Struct``, from which the size
+constants derive.  A file of such records is read a block at a time by
+``_records``; a partial trailing record raises ``FormatError`` naming the file.
 
-* fact: int32 fact ID, one value byte (0 or 1) -- 5 bytes
+* fact (``_FACT``): int32 fact ID, one value byte (0 or 1) -- 5 bytes
+* index or merged sort-file entry (``_I64``): int64 byte position
+* worker sort record (``SortKey.record``): int32 (``ID``) or float64 value,
+  then int64 position -- 12 or 16 bytes
 * entity: int32 entity ID, int32 fact count, facts -- 8 + 5n bytes
 * connection: int32 connection ID, then entity1 / link / entity2 each either
   a full entity record or an int32 -1 marker, then int32 environment-fact
@@ -20,7 +25,8 @@ value order, ties broken by ascending position.  Merging concatenates the
 final-path files in worker order, rewrites index entries with per-worker
 offsets, and builds each merged sort file lazily: the per-worker streams are
 k-way merged on highest value and only the offset-adjusted int64 position is
-written.
+written, to ``<title>.partial``, which is renamed onto ``<title>`` only once
+complete.
 """
 
 from __future__ import annotations
@@ -28,25 +34,30 @@ from __future__ import annotations
 import heapq
 import io
 import json
+import os
+import shutil
 import struct
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice, starmap
 from pathlib import Path
 from typing import BinaryIO, Iterator, Optional
 
 from .model import Network
 from .traversal import RunSummary, TraversalPath
 
-FACT_RECORD_SIZE = 5
-NULL_MARKER_SIZE = 4
-MIN_ENTITY_SIZE = 8
-INT_SORT_RECORD_SIZE = 12
-DOUBLE_SORT_RECORD_SIZE = 16
-
 _I32 = struct.Struct("<i")
 _I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
+_FACT = struct.Struct("<iB")
+# A fact's value byte indexes this pair; any byte but 0 or 1 raises IndexError.
+_BOOLS = (False, True)
+_BLOCK_RECORDS = 8192
+
+FACT_RECORD_SIZE = _FACT.size
+NULL_MARKER_SIZE = _I32.size
+MIN_ENTITY_SIZE = 2 * _I32.size
 
 FINAL_PATHS_TITLE = "Final paths"
 INDEX_TITLE = "Index"
@@ -59,26 +70,23 @@ class FormatError(Exception):
 
 
 class SortKey(Enum):
-    ID = ("ID", "i")
-    AVAILABILITY = ("Availability", "d")
-    CONFIDENTIALITY = ("Confidentiality", "d")
-    INTEGRITY = ("Integrity", "d")
-    TOTAL_RUN_TIME = ("Total run time", "d")
-    TRAVERSABILITY_CHANCE = ("Traversability chance", "d")
+    """A per-path metric; ``record`` is its worker sort-file row,
+    ``(value, int64 position)``."""
 
-    def __init__(self, title: str, kind: str):
+    ID = ("ID", "<iq")
+    AVAILABILITY = ("Availability", "<dq")
+    CONFIDENTIALITY = ("Confidentiality", "<dq")
+    INTEGRITY = ("Integrity", "<dq")
+    TOTAL_RUN_TIME = ("Total run time", "<dq")
+    TRAVERSABILITY_CHANCE = ("Traversability chance", "<dq")
+
+    def __init__(self, title: str, layout: str):
         self.title = title
-        self.kind = kind
+        self.record = struct.Struct(layout)
 
-    @property
-    def record_size(self) -> int:
-        return INT_SORT_RECORD_SIZE if self.kind == "i" else DOUBLE_SORT_RECORD_SIZE
 
-    def pack_value(self, value) -> bytes:
-        return _I32.pack(int(value)) if self.kind == "i" else _F64.pack(float(value))
-
-    def unpack_value(self, buf: bytes):
-        return (_I32 if self.kind == "i" else _F64).unpack(buf)[0]
+INT_SORT_RECORD_SIZE = SortKey.ID.record.size
+DOUBLE_SORT_RECORD_SIZE = SortKey.AVAILABILITY.record.size
 
 
 def worker_file(directory, title: str, worker: int) -> Path:
@@ -99,14 +107,7 @@ class MetricVector:
     traversability_chance: float
 
     def value_for(self, key: SortKey):
-        return {
-            SortKey.ID: self.id,
-            SortKey.AVAILABILITY: self.availability,
-            SortKey.CONFIDENTIALITY: self.confidentiality,
-            SortKey.INTEGRITY: self.integrity,
-            SortKey.TOTAL_RUN_TIME: self.total_run_time,
-            SortKey.TRAVERSABILITY_CHANCE: self.traversability_chance,
-        }[key]
+        return getattr(self, key.name.lower())
 
 
 class MetricsError(Exception):
@@ -228,30 +229,26 @@ def canonical_form(record: PathRecord) -> tuple:
 # ---------------------------------------------------------------------------
 # Codec
 
-def encode_fact(fact_id: int, value: bool) -> bytes:
-    return _I32.pack(fact_id) + (b"\x01" if value else b"\x00")
+def _encode_facts(facts: tuple[tuple[int, bool], ...]) -> bytes:
+    return _I32.pack(len(facts)) + b"".join(starmap(_FACT.pack, facts))
 
 
 def encode_entity(entity: EntityRecord) -> bytes:
-    out = [_I32.pack(entity.id), _I32.pack(len(entity.facts))]
-    out += [encode_fact(fid, val) for fid, val in entity.facts]
-    return b"".join(out)
+    return _I32.pack(entity.id) + _encode_facts(entity.facts)
 
 
 def encode_connection(conn: ConnectionRecord) -> bytes:
     out = [_I32.pack(conn.id)]
     for ent in (conn.entity1, conn.link, conn.entity2):
         out.append(_I32.pack(-1) if ent is None else encode_entity(ent))
-    out.append(_I32.pack(len(conn.env_facts)))
-    out += [encode_fact(fid, val) for fid, val in conn.env_facts]
+    out.append(_encode_facts(conn.env_facts))
     return b"".join(out)
 
 
 def encode_path(path: PathRecord) -> bytes:
     out = [_I32.pack(path.id), _I32.pack(len(path.connections))]
     out += [encode_connection(c) for c in path.connections]
-    out.append(_I32.pack(len(path.env_facts)))
-    out += [encode_fact(fid, val) for fid, val in path.env_facts]
+    out.append(_encode_facts(path.env_facts))
     return b"".join(out)
 
 
@@ -263,47 +260,37 @@ def _read(stream: BinaryIO, n: int) -> bytes:
 
 
 def _read_i32(stream: BinaryIO) -> int:
-    return _I32.unpack(_read(stream, 4))[0]
+    buf = stream.read(4)
+    try:
+        return _I32.unpack(buf)[0]
+    except struct.error:
+        raise FormatError(f"truncated record: wanted 4 bytes, got {len(buf)}") from None
 
 
-def decode_fact(stream: BinaryIO) -> tuple[int, bool]:
-    fid = _read_i32(stream)
-    raw = _read(stream, 1)[0]
-    if raw not in (0, 1):
-        raise FormatError(f"fact {fid}: value byte {raw} is not 0 or 1")
-    return fid, bool(raw)
-
-
-def _decode_entity_after_id(stream: BinaryIO, ident: int) -> EntityRecord:
+def _decode_facts(stream: BinaryIO, owner: str, ident: int) -> tuple[tuple[int, bool], ...]:
+    """A fact count and that many fact records; ``owner`` and ``ident`` only
+    name the record in an error."""
     count = _read_i32(stream)
-    if count < 0:
-        raise FormatError(f"entity {ident}: negative fact count {count}")
-    return EntityRecord(ident, tuple(decode_fact(stream) for _ in range(count)))
+    if count <= 0:
+        if count < 0:
+            raise FormatError(f"{owner} {ident}: negative fact count {count}")
+        return ()
+    buf = _read(stream, count * FACT_RECORD_SIZE)
+    try:
+        return tuple([(fid, _BOOLS[raw]) for fid, raw in _FACT.iter_unpack(buf)])
+    except IndexError:
+        fid, raw = next(fact for fact in _FACT.iter_unpack(buf) if fact[1] > 1)
+        raise FormatError(f"fact {fid}: value byte {raw} is not 0 or 1") from None
 
 
-def decode_entity(stream: BinaryIO) -> EntityRecord:
-    return _decode_entity_after_id(stream, _read_i32(stream))
-
-
-def _decode_optional_entity(stream: BinaryIO) -> Optional[EntityRecord]:
+def _decode_entity(stream: BinaryIO) -> Optional[EntityRecord]:
+    """An entity record, or None for the -1 marker of an absent entity."""
     ident = _read_i32(stream)
-    if ident == -1:
-        return None
     if ident < 0:
+        if ident == -1:
+            return None
         raise FormatError(f"invalid entity marker {ident}")
-    return _decode_entity_after_id(stream, ident)
-
-
-def decode_connection(stream: BinaryIO) -> ConnectionRecord:
-    cid = _read_i32(stream)
-    entity1 = _decode_optional_entity(stream)
-    link = _decode_optional_entity(stream)
-    entity2 = _decode_optional_entity(stream)
-    count = _read_i32(stream)
-    if count < 0:
-        raise FormatError(f"connection {cid}: negative environment-fact count")
-    env = tuple(decode_fact(stream) for _ in range(count))
-    return ConnectionRecord(cid, entity1, link, entity2, env)
+    return EntityRecord(ident, _decode_facts(stream, "entity", ident))
 
 
 def decode_path(stream: BinaryIO) -> PathRecord:
@@ -311,12 +298,14 @@ def decode_path(stream: BinaryIO) -> PathRecord:
     count = _read_i32(stream)
     if count < 0:
         raise FormatError(f"path {pid}: negative connection count")
-    conns = tuple(decode_connection(stream) for _ in range(count))
-    ecount = _read_i32(stream)
-    if ecount < 0:
-        raise FormatError(f"path {pid}: negative environment-fact count")
-    env = tuple(decode_fact(stream) for _ in range(ecount))
-    return PathRecord(pid, conns, env)
+    conns = []
+    for _ in range(count):
+        cid = _read_i32(stream)
+        conns.append(ConnectionRecord(
+            cid, _decode_entity(stream), _decode_entity(stream), _decode_entity(stream),
+            _decode_facts(stream, "connection", cid),
+        ))
+    return PathRecord(pid, tuple(conns), _decode_facts(stream, "path", pid))
 
 
 def decode_path_bytes(buf: bytes) -> PathRecord:
@@ -352,27 +341,46 @@ class PathWriter:
         self.index_file.close()
 
 
-def read_worker_paths(directory, worker: int) -> Iterator[PathRecord]:
-    index = worker_file(directory, INDEX_TITLE, worker)
-    finals = worker_file(directory, FINAL_PATHS_TITLE, worker)
+def _record_count(nbytes: int, layout: struct.Struct, what: str) -> int:
+    """Whole ``layout`` records in ``nbytes``; a partial one raises FormatError
+    naming ``what``."""
+    if nbytes % layout.size:
+        raise FormatError(f"{what}: truncated record, {nbytes % layout.size} of {layout.size} bytes")
+    return nbytes // layout.size
+
+
+def _records(fh: BinaryIO, layout: struct.Struct, what: str) -> Iterator[tuple]:
+    """Unpack a file of fixed-width ``layout`` records a block at a time."""
+    while buf := fh.read(layout.size * _BLOCK_RECORDS):
+        _record_count(len(buf), layout, what)
+        yield from layout.iter_unpack(buf)
+
+
+def _index_count(index: Path) -> int:
+    return _record_count(index.stat().st_size, _I64, index.name)
+
+
+def _read_paths(finals: Path, index: Path) -> Iterator[PathRecord]:
+    """Decode a final-paths file front to back, one record per index entry."""
+    count = _index_count(index)
     with open(finals, "rb") as fh:
-        size = index.stat().st_size
-        with open(index, "rb") as ih:
-            for _ in range(size // 8):
-                pos = _I64.unpack(_read(ih, 8))[0]
-                fh.seek(pos)
-                yield decode_path(fh)
+        for _ in range(count):
+            yield decode_path(fh)
+
+
+def read_worker_paths(directory, worker: int) -> Iterator[PathRecord]:
+    return _read_paths(
+        worker_file(directory, FINAL_PATHS_TITLE, worker), worker_file(directory, INDEX_TITLE, worker)
+    )
 
 
 def write_sort_file(directory, worker: int, key: SortKey, rows: list[tuple[object, int]]) -> Path:
     """Write one worker's sort file: (value, position) rows ordered by value
     descending, ties by position ascending."""
-    ordered = sorted(rows, key=lambda r: (-r[0], r[1]) if key.kind == "i" else (-float(r[0]), r[1]))
+    ordered = sorted(rows, key=lambda r: (-r[0], r[1]))
     target = worker_file(directory, key.title, worker)
     with open(target, "wb") as fh:
-        for value, pos in ordered:
-            fh.write(key.pack_value(value))
-            fh.write(_I64.pack(pos))
+        fh.writelines(starmap(key.record.pack, ordered))
     return target
 
 
@@ -382,17 +390,8 @@ def write_all_sort_files(directory, worker: int, metrics: list[tuple[MetricVecto
 
 
 def read_sort_file(path: Path, key: SortKey) -> list[tuple[object, int]]:
-    out = []
-    width = key.record_size
     with open(path, "rb") as fh:
-        while True:
-            buf = fh.read(width)
-            if not buf:
-                break
-            if len(buf) != width:
-                raise FormatError(f"{path.name}: truncated sort record")
-            out.append((key.unpack_value(buf[: width - 8]), _I64.unpack(buf[width - 8 :])[0]))
-    return out
+        return list(_records(fh, key.record, path.name))
 
 
 # ---------------------------------------------------------------------------
@@ -403,32 +402,27 @@ def merge_final_and_index(directory, workers: list[int]) -> list[int]:
     index with per-worker byte offsets applied.  Returns the offset table
     (also persisted to the ``Offsets`` file for later invocations)."""
     directory = Path(directory)
+    # Merged sort files hold positions into the previous ``Final paths``, and
+    # the lazy merge would rebuild them from the previous ``Offsets``.
+    # Removing both first keeps a merge that fails part way from leaving them.
+    for title in [OFFSETS_TITLE] + [key.title for key in SortKey]:
+        merged_file(directory, title).unlink(missing_ok=True)
     offsets: list[int] = []
-    running = 0
     with open(merged_file(directory, FINAL_PATHS_TITLE), "wb") as out_paths, open(
         merged_file(directory, INDEX_TITLE), "wb"
     ) as out_index:
         for w in workers:
+            running = out_paths.tell()
             offsets.append(running)
-            src = worker_file(directory, FINAL_PATHS_TITLE, w)
-            with open(src, "rb") as fh:
-                while True:
-                    chunk = fh.read(1 << 20)
-                    if not chunk:
-                        break
-                    out_paths.write(chunk)
-            with open(worker_file(directory, INDEX_TITLE, w), "rb") as ih:
-                while True:
-                    buf = ih.read(8)
-                    if not buf:
-                        break
-                    out_index.write(_I64.pack(_I64.unpack(buf)[0] + running))
-            running += src.stat().st_size
+            index = worker_file(directory, INDEX_TITLE, w)
+            with open(index, "rb") as ih:
+                out_index.writelines(
+                    _I64.pack(pos + running) for (pos,) in _records(ih, _I64, index.name)
+                )
+            with open(worker_file(directory, FINAL_PATHS_TITLE, w), "rb") as fh:
+                shutil.copyfileobj(fh, out_paths)
     with open(merged_file(directory, OFFSETS_TITLE), "w", encoding="utf-8") as fh:
         json.dump({"workers": workers, "offsets": offsets}, fh)
-    # A fresh merge invalidates any previously merged sort files.
-    for key in SortKey:
-        merged_file(directory, key.title).unlink(missing_ok=True)
     return offsets
 
 
@@ -438,40 +432,32 @@ def read_offsets(directory) -> tuple[list[int], list[int]]:
     return list(doc["workers"]), list(doc["offsets"])
 
 
+def _merge_keys(fh: BinaryIO, key: SortKey, offset: int, what: str) -> Iterator[tuple]:
+    """``(-value, position + offset)`` per record of a worker sort file, so
+    that ascending order is value descending, then adjusted position."""
+    for value, pos in _records(fh, key.record, what):
+        yield -value, pos + offset
+
+
 def merge_sort_files(directory, key: SortKey, workers: list[int], offsets: list[int]) -> Path:
     """Build the merged sort file for one key by k-way merging the worker
     sort files on highest value (ties by adjusted position ascending).  Only
-    the offset-adjusted int64 positions are written."""
+    the offset-adjusted int64 positions are written, to ``<title>.partial``,
+    which replaces the target only once it is complete."""
     directory = Path(directory)
     target = merged_file(directory, key.title)
-    streams = []
-    width = key.record_size
+    partial = target.with_name(f"{target.name}.partial")
     try:
-        for w, off in zip(workers, offsets):
-            streams.append((open(worker_file(directory, key.title, w), "rb"), off))
-        heap: list[tuple] = []
-
-        def push(idx):
-            fh, off = streams[idx]
-            buf = fh.read(width)
-            if not buf:
-                return
-            if len(buf) != width:
-                raise FormatError(f"worker {workers[idx]}: truncated sort record")
-            value = key.unpack_value(buf[: width - 8])
-            pos = _I64.unpack(buf[width - 8 :])[0] + off
-            heapq.heappush(heap, (-value if key.kind == "d" else -int(value), pos, idx))
-
-        for i in range(len(streams)):
-            push(i)
-        with open(target, "wb") as out:
-            while heap:
-                _, pos, idx = heapq.heappop(heap)
-                out.write(_I64.pack(pos))
-                push(idx)
+        with ExitStack() as stack:
+            streams = []
+            for w, offset in zip(workers, offsets):
+                src = worker_file(directory, key.title, w)
+                streams.append(_merge_keys(stack.enter_context(open(src, "rb")), key, offset, src.name))
+            out = stack.enter_context(open(partial, "wb"))
+            out.writelines(_I64.pack(pos) for _, pos in heapq.merge(*streams))
+        os.replace(partial, target)
     finally:
-        for fh, _ in streams:
-            fh.close()
+        partial.unlink(missing_ok=True)
     return target
 
 
@@ -486,13 +472,7 @@ class MergedStore:
 
     @property
     def count(self) -> int:
-        return merged_file(self.directory, INDEX_TITLE).stat().st_size // 8
-
-    def read_path(self, n: int) -> PathRecord:
-        with open(merged_file(self.directory, INDEX_TITLE), "rb") as ih:
-            ih.seek(n * 8)
-            pos = _I64.unpack(_read(ih, 8))[0]
-        return self.read_path_at(pos)
+        return _index_count(merged_file(self.directory, INDEX_TITLE))
 
     def read_path_at(self, pos: int) -> PathRecord:
         with open(merged_file(self.directory, FINAL_PATHS_TITLE), "rb") as fh:
@@ -500,13 +480,13 @@ class MergedStore:
             return decode_path(fh)
 
     def iter_paths(self) -> Iterator[PathRecord]:
-        count = self.count
-        with open(merged_file(self.directory, FINAL_PATHS_TITLE), "rb") as fh:
-            for _ in range(count):
-                yield decode_path(fh)
+        return _read_paths(
+            merged_file(self.directory, FINAL_PATHS_TITLE), merged_file(self.directory, INDEX_TITLE)
+        )
 
     def ensure_sorted(self, key: SortKey) -> Path:
-        """Merged sort files are built on first use and reused afterwards."""
+        """Merged sort files are built on first use and reused afterwards;
+        one appears only once complete."""
         target = merged_file(self.directory, key.title)
         if not target.exists():
             workers, offsets = read_offsets(self.directory)
@@ -515,14 +495,8 @@ class MergedStore:
 
     def sorted_positions(self, key: SortKey, k: Optional[int] = None) -> list[int]:
         target = self.ensure_sorted(key)
-        out = []
         with open(target, "rb") as fh:
-            while k is None or len(out) < k:
-                buf = fh.read(8)
-                if not buf:
-                    break
-                out.append(_I64.unpack(buf)[0])
-        return out
+            return [pos for (pos,) in islice(_records(fh, _I64, target.name), k)]
 
     def query_sorted(self, key: SortKey, k: int) -> list[tuple[int, PathRecord]]:
         """Top-k paths by the key, best first, as (position, record) pairs."""

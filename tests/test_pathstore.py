@@ -1,11 +1,11 @@
 import json
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attackpaths import pathstore
 from attackpaths.model import (
     CommonProperty,
     Container,
@@ -26,6 +26,7 @@ from attackpaths.pathstore import (
     INT_SORT_RECORD_SIZE,
     MIN_ENTITY_SIZE,
     NULL_MARKER_SIZE,
+    OFFSETS_TITLE,
     ConnectionRecord,
     EntityRecord,
     FormatError,
@@ -40,7 +41,6 @@ from attackpaths.pathstore import (
     decode_path_bytes,
     encode_connection,
     encode_entity,
-    encode_fact,
     encode_path,
     merge_final_and_index,
     merged_file,
@@ -71,14 +71,14 @@ class TestByteLayout:
         assert DOUBLE_SORT_RECORD_SIZE == 16
 
     def test_fact_bytes(self):
-        assert encode_fact(7, True) == bytes([7, 0, 0, 0, 1])
-        assert encode_fact(7, False) == bytes([7, 0, 0, 0, 0])
-        assert len(encode_fact(0, True)) == FACT_RECORD_SIZE
+        assert encode_entity(EntityRecord(3, ((7, True),)))[MIN_ENTITY_SIZE:] == bytes([7, 0, 0, 0, 1])
+        assert encode_entity(EntityRecord(3, ((7, False),)))[MIN_ENTITY_SIZE:] == bytes([7, 0, 0, 0, 0])
+        assert len(encode_entity(EntityRecord(3, ((0, True),)))) == MIN_ENTITY_SIZE + FACT_RECORD_SIZE
 
     def test_entity_bytes(self):
         ent = EntityRecord(3, ((7, True), (8, False)))
         buf = encode_entity(ent)
-        assert buf == i32.pack(3) + i32.pack(2) + encode_fact(7, True) + encode_fact(8, False)
+        assert buf == i32.pack(3) + i32.pack(2) + bytes([7, 0, 0, 0, 1, 8, 0, 0, 0, 0])
         assert len(buf) == MIN_ENTITY_SIZE + 2 * FACT_RECORD_SIZE
 
     def test_null_entities_use_minus_one(self):
@@ -163,6 +163,12 @@ class TestRoundTrip:
         assert list(read_worker_paths(tmp_path, 2)) == records
 
 
+def path_with_entity(entity: bytes) -> bytes:
+    """Path 1 holding one connection (ID 2) whose start entity is the raw
+    ``entity`` bytes; its link and end are absent, with no facts anywhere."""
+    return i32.pack(1) + i32.pack(1) + i32.pack(2) + entity + i32.pack(-1) * 2 + i32.pack(0) * 2
+
+
 class TestDecodeErrors:
     def test_truncated(self):
         buf = encode_path(PathRecord(1, (ConnectionRecord(2, EntityRecord(3, ((4, True),)), None, None),)))
@@ -170,23 +176,26 @@ class TestDecodeErrors:
             decode_path_bytes(buf[:-1])
 
     def test_bad_value_byte(self):
-        buf = i32.pack(1) + i32.pack(1) + i32.pack(9) + b"\x02"
-        with pytest.raises(FormatError, match="value byte 2"):
-            pathstore.decode_entity(__import__("io").BytesIO(buf))
+        def facts(second: bytes) -> bytes:
+            return path_with_entity(i32.pack(3) + i32.pack(2) + i32.pack(8) + b"\x01" + i32.pack(9) + second)
+
+        assert decode_path_bytes(facts(b"\x00")) == PathRecord(
+            1, (ConnectionRecord(2, EntityRecord(3, ((8, True), (9, False))), None, None),)
+        )
+        with pytest.raises(FormatError, match="fact 9: value byte 2"):
+            decode_path_bytes(facts(b"\x02"))
 
     def test_negative_fact_count(self):
-        buf = i32.pack(1) + i32.pack(-2)
-        with pytest.raises(FormatError, match="negative fact count"):
-            pathstore.decode_entity(__import__("io").BytesIO(buf))
+        with pytest.raises(FormatError, match="entity 3: negative fact count"):
+            decode_path_bytes(path_with_entity(i32.pack(3) + i32.pack(-2)))
 
     def test_negative_connection_count(self):
         with pytest.raises(FormatError, match="negative connection count"):
             decode_path_bytes(i32.pack(1) + i32.pack(-1))
 
     def test_invalid_entity_marker(self):
-        buf = i32.pack(1) + i32.pack(-5)
         with pytest.raises(FormatError, match="invalid entity marker"):
-            pathstore.decode_connection(__import__("io").BytesIO(buf))
+            decode_path_bytes(path_with_entity(i32.pack(-5)))
 
 
 class TestSortFiles:
@@ -207,7 +216,7 @@ class TestSortFiles:
     def test_truncated_sort_file(self, tmp_path):
         bad = tmp_path / "Availability-0.tmp"
         bad.write_bytes(b"\x00" * 13)
-        with pytest.raises(FormatError, match="truncated sort record"):
+        with pytest.raises(FormatError, match="Availability-0.tmp: truncated record"):
             read_sort_file(bad, SortKey.AVAILABILITY)
 
 
@@ -224,7 +233,9 @@ def build_run(tmp_path, worker_rows):
     return merge_final_and_index(tmp_path, list(range(len(worker_rows))))
 
 
-def random_run(tmp_path, workers=4, per_worker=25, seed=3):
+def random_run(tmp_path, workers=4, per_worker=25, seed=3, tied=False):
+    """With ``tied``, every path has impacts 0.0 and traversability chance
+    1.0, as on a model without impact annotations or traversal_chance."""
     rng = random.Random(seed)
     worker_rows = []
     next_id = 0
@@ -241,6 +252,9 @@ def random_run(tmp_path, workers=4, per_worker=25, seed=3):
                 total_run_time=rng.random() * 1000,
                 traversability_chance=rng.random(),
             )
+            if tied:
+                mv = replace(mv, availability=0.0, confidentiality=0.0, integrity=0.0,
+                             traversability_chance=1.0)
             rows.append((record, mv))
             next_id += 1
         worker_rows.append(rows)
@@ -265,8 +279,10 @@ class TestMerge:
         store = MergedStore(tmp_path)
         assert store.count == len(expected)
         assert list(store.iter_paths()) == expected
+        index = merged_file(tmp_path, INDEX_TITLE).read_bytes()
+        positions = [pos for (pos,) in i64.iter_unpack(index)]
         for n in (0, len(expected) // 2, len(expected) - 1):
-            assert store.read_path(n) == expected[n]
+            assert store.read_path_at(positions[n]) == expected[n]
 
     def test_merged_index_applies_offsets(self, tmp_path):
         worker_rows, offsets = random_run(tmp_path)
@@ -281,21 +297,24 @@ class TestMerge:
 
     @pytest.mark.parametrize("key", list(SortKey))
     def test_merged_sort_matches_oracle(self, tmp_path, key):
-        worker_rows, offsets = random_run(tmp_path)
-        oracle = []
-        for w, rows in enumerate(worker_rows):
-            pos = 0
-            for record, mv in rows:
-                value = mv.value_for(key)
-                oracle.append((-value, pos + offsets[w]))
-                pos += len(encode_path(record))
-        oracle.sort()
-        store = MergedStore(tmp_path)
-        assert store.sorted_positions(key) == [pos for _, pos in oracle]
-        target = merged_file(tmp_path, key.title)
-        assert target.exists()
-        total = sum(len(rows) for rows in worker_rows)
-        assert target.stat().st_size == total * 8
+        # The tied run orders equal values across 3 workers by adjusted position.
+        for run_dir, tied, workers in ((tmp_path / "random", False, 4), (tmp_path / "tied", True, 3)):
+            run_dir.mkdir()
+            worker_rows, offsets = random_run(run_dir, workers=workers, tied=tied)
+            oracle = []
+            for w, rows in enumerate(worker_rows):
+                pos = 0
+                for record, mv in rows:
+                    value = mv.value_for(key)
+                    oracle.append((-value, pos + offsets[w]))
+                    pos += len(encode_path(record))
+            oracle.sort()
+            store = MergedStore(run_dir)
+            assert store.sorted_positions(key) == [pos for _, pos in oracle]
+            target = merged_file(run_dir, key.title)
+            assert target.exists()
+            total = sum(len(rows) for rows in worker_rows)
+            assert target.stat().st_size == total * 8
 
     def test_query_sorted_returns_top_k(self, tmp_path):
         worker_rows, _ = random_run(tmp_path)
@@ -325,6 +344,39 @@ class TestMerge:
         merge_final_and_index(tmp_path, [0, 1, 2, 3])
         assert not target.exists()
         assert store.ensure_sorted(SortKey.ID).exists()
+
+    def test_failed_lazy_merge_leaves_no_sort_file(self, tmp_path):
+        random_run(tmp_path)
+        src = worker_file(tmp_path, SortKey.AVAILABILITY.title, 0)
+        with open(src, "r+b") as fh:
+            fh.truncate(src.stat().st_size - 8)
+        store = MergedStore(tmp_path)
+        for _ in range(2):
+            with pytest.raises(FormatError, match="Availability-0.tmp: truncated record"):
+                store.sorted_positions(SortKey.AVAILABILITY)
+        assert sorted(p.name for p in tmp_path.glob("Availability*")) == [
+            f"Availability-{w}.tmp" for w in range(4)
+        ]
+
+    def test_truncated_index_raises(self, tmp_path):
+        random_run(tmp_path)
+        store = MergedStore(tmp_path)
+        store.ensure_sorted(SortKey.ID)
+        for index in (merged_file(tmp_path, INDEX_TITLE), worker_file(tmp_path, INDEX_TITLE, 0)):
+            with open(index, "r+b") as fh:
+                fh.truncate(index.stat().st_size - 3)
+        with pytest.raises(FormatError, match="Index: truncated record"):
+            store.count
+        with pytest.raises(FormatError, match="Index: truncated record"):
+            list(store.iter_paths())
+        with pytest.raises(FormatError, match="Index-0.tmp: truncated record"):
+            list(read_worker_paths(tmp_path, 0))
+        # A failed re-merge must leave neither sort files that index the old
+        # paths nor the old offsets a lazy merge would rebuild them from.
+        with pytest.raises(FormatError, match="Index-0.tmp: truncated record"):
+            merge_final_and_index(tmp_path, [0, 1, 2, 3])
+        assert not merged_file(tmp_path, SortKey.ID.title).exists()
+        assert not merged_file(tmp_path, OFFSETS_TITLE).exists()
 
     def test_single_worker_merge_is_identity(self, tmp_path):
         rng = random.Random(5)
