@@ -345,10 +345,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except engine.EngineError as e:
+    except (CliError, engine.EngineError, pathstore.FormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -165,6 +165,7 @@ def bind_filter(expr: FilterExpr, net: Network, end_container: int) -> FilterExp
     container = net.containers_by_id.get(end_container)
     if container is None:
         raise FilterBindError(f"unknown end container {end_container}")
+    key = ("container", container.id)
 
     def resolve(ident: str) -> int:
         for f in container.facts:
@@ -172,7 +173,7 @@ def bind_filter(expr: FilterExpr, net: Network, end_container: int) -> FilterExp
                 return f.id
         if ident.isdigit():
             fid = int(ident)
-            if fid in net.container_base_values[container.id]:
+            if fid in net.base_values[key]:
                 return fid
         prop = None
         for p in net.common_properties:
@@ -180,7 +181,7 @@ def bind_filter(expr: FilterExpr, net: Network, end_container: int) -> FilterExp
                 prop = p.id
                 break
         if prop is not None:
-            fid = net.container_prop_fact.get(container.id, {}).get(prop)
+            fid = net.prop_fact[key].get(prop)
             if fid is not None:
                 return fid
         raise FilterBindError(

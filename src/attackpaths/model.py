@@ -10,6 +10,16 @@ Normal and generic rules share one rule ID space.
 
 Networks are immutable once built.  ``apply_fact_override`` and ``omit_rule``
 return modified copies and never touch the original.
+
+Each fact has one owner, named by its owner key: ``("container", id)``,
+``("link", id)`` or ``ENV``.  ``Network.fact_owner`` maps a fact ID to that
+key, and the derived tables are keyed by it: ``base_values[key]`` holds the
+owner's initial fact values in declaration order, and ``prop_fact[key]`` maps
+a common property to the owner's fact on it.  ``final_normal_rules`` (normal
+rules reading environment facts only) and ``final_generic_rules`` (generic
+rules naming the start container only) are the rules a finalization
+connection may fire, in ascending ID like ``normal_rules_sorted`` and
+``generic_rules_sorted``.
 """
 
 from __future__ import annotations
@@ -149,6 +159,10 @@ class Action:
 
 Rule = Union[NormalRule, GenericRule]
 
+# Owner key of a fact: ("container", id), ("link", id) or ENV.
+OwnerKey = tuple[str, Optional[int]]
+ENV: OwnerKey = ("env", None)
+
 
 @dataclass(frozen=True)
 class Network:
@@ -170,51 +184,29 @@ class Network:
         set_("actions_by_id", {a.id: a for a in self.actions})
 
         facts_by_id: dict[int, Fact] = {}
-        fact_owner: dict[int, tuple[str, Optional[int]]] = {}
-        container_base: dict[int, dict[int, bool]] = {}
-        link_base: dict[int, dict[int, bool]] = {}
-        container_prop_fact: dict[int, dict[int, int]] = {}
-        link_prop_fact: dict[int, dict[int, int]] = {}
+        fact_owner: dict[int, OwnerKey] = {}
+        base_values: dict[OwnerKey, dict[int, bool]] = {}
+        prop_fact: dict[OwnerKey, dict[int, int]] = {}
         facts_with_property: dict[int, list[int]] = {}
-
-        def note_property(f: Fact) -> None:
-            if f.common_property is not None:
-                facts_with_property.setdefault(f.common_property, []).append(f.id)
-
-        for c in self.containers:
-            container_base[c.id] = {f.id: f.value for f in c.facts}
-            pf = {}
-            for f in c.facts:
+        owners = (
+            [(("container", c.id), c.facts) for c in self.containers]
+            + [(("link", l.id), l.facts) for l in self.links]
+            + [(ENV, self.environment_facts)]
+        )
+        for key, facts in owners:
+            base_values[key] = {f.id: f.value for f in facts}
+            pf = prop_fact[key] = {}
+            for f in facts:
                 facts_by_id[f.id] = f
-                fact_owner[f.id] = ("container", c.id)
+                fact_owner[f.id] = key
                 if f.common_property is not None:
                     pf[f.common_property] = f.id
-                note_property(f)
-            container_prop_fact[c.id] = pf
-        for l in self.links:
-            link_base[l.id] = {f.id: f.value for f in l.facts}
-            pf = {}
-            for f in l.facts:
-                facts_by_id[f.id] = f
-                fact_owner[f.id] = ("link", l.id)
-                if f.common_property is not None:
-                    pf[f.common_property] = f.id
-                note_property(f)
-            link_prop_fact[l.id] = pf
-        env_base = {}
-        for f in self.environment_facts:
-            facts_by_id[f.id] = f
-            fact_owner[f.id] = ("env", None)
-            env_base[f.id] = f.value
-            note_property(f)
+                    facts_with_property.setdefault(f.common_property, []).append(f.id)
 
         set_("facts_by_id", facts_by_id)
         set_("fact_owner", fact_owner)
-        set_("container_base_values", container_base)
-        set_("link_base_values", link_base)
-        set_("container_prop_fact", container_prop_fact)
-        set_("link_prop_fact", link_prop_fact)
-        set_("env_base_values", env_base)
+        set_("base_values", base_values)
+        set_("prop_fact", prop_fact)
         set_("facts_with_property", {p: tuple(v) for p, v in facts_with_property.items()})
 
         adjacency: dict[int, list[tuple[int, int]]] = {c.id: [] for c in self.containers}
@@ -225,8 +217,17 @@ class Network:
                     adjacency[l.endpoint_b].append((l.id, l.endpoint_a))
         set_("adjacency", {c: tuple(sorted(v)) for c, v in adjacency.items()})
 
-        set_("normal_rules_sorted", tuple(sorted(self.normal_rules, key=lambda r: r.id)))
-        set_("generic_rules_sorted", tuple(sorted(self.generic_rules, key=lambda r: r.id)))
+        normal = tuple(sorted(self.normal_rules, key=lambda r: r.id))
+        generic = tuple(sorted(self.generic_rules, key=lambda r: r.id))
+        set_("normal_rules_sorted", normal)
+        set_("generic_rules_sorted", generic)
+        set_("final_normal_rules", tuple(
+            r for r in normal if all(fact_owner.get(c.fact) == ENV for c in r.preconditions)
+        ))
+        set_("final_generic_rules", tuple(
+            r for r in generic
+            if all(c.position is Position.START for c in r.preconditions + r.postconditions)
+        ))
         rules_by_id: dict[int, Rule] = {}
         for r in self.normal_rules + self.generic_rules:
             rules_by_id[r.id] = r

@@ -25,8 +25,8 @@ value order, ties broken by ascending position.  Merging concatenates the
 final-path files in worker order, rewrites index entries with per-worker
 offsets, and builds each merged sort file lazily: the per-worker streams are
 k-way merged on highest value and only the offset-adjusted int64 position is
-written, to ``<title>.partial``, which is renamed onto ``<title>`` only once
-complete.
+written.  Every merged file is written to ``<title>.partial``, which is
+renamed onto ``<title>`` only once complete.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import os
 import shutil
 import struct
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, starmap
@@ -361,11 +361,18 @@ def _index_count(index: Path) -> int:
 
 
 def _read_paths(finals: Path, index: Path) -> Iterator[PathRecord]:
-    """Decode a final-paths file front to back, one record per index entry."""
+    """Decode a final-paths file front to back, one record per index entry;
+    the file must end after the last one."""
     count = _index_count(index)
     with open(finals, "rb") as fh:
-        for _ in range(count):
-            yield decode_path(fh)
+        for n in range(count):
+            try:
+                record = decode_path(fh)
+            except FormatError as e:
+                raise FormatError(f"{finals.name}, record {n}: {e}") from None
+            yield record
+        if fh.read(1):
+            raise FormatError(f"{finals.name}: data after the last of {count} indexed records")
 
 
 def read_worker_paths(directory, worker: int) -> Iterator[PathRecord]:
@@ -397,32 +404,50 @@ def read_sort_file(path: Path, key: SortKey) -> list[tuple[object, int]]:
 # ---------------------------------------------------------------------------
 # Merging
 
+@contextmanager
+def _written_in_place_of(*targets: Path) -> Iterator[list[Path]]:
+    """Yield a ``<name>.partial`` path per target to write.  Each is renamed
+    onto its target once the block completes; if anything fails, no partial
+    file remains."""
+    partials = [t.with_name(f"{t.name}.partial") for t in targets]
+    try:
+        yield partials
+        for partial, target in zip(partials, targets):
+            os.replace(partial, target)
+    finally:
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+
+
 def merge_final_and_index(directory, workers: list[int]) -> list[int]:
     """Concatenate worker final-path files in worker order and rewrite the
     index with per-worker byte offsets applied.  Returns the offset table
     (also persisted to the ``Offsets`` file for later invocations)."""
     directory = Path(directory)
-    # Merged sort files hold positions into the previous ``Final paths``, and
-    # the lazy merge would rebuild them from the previous ``Offsets``.
-    # Removing both first keeps a merge that fails part way from leaving them.
-    for title in [OFFSETS_TITLE] + [key.title for key in SortKey]:
+    # Every merged file of an earlier merge goes first: merged sort files
+    # hold positions into the previous ``Final paths``, and the lazy merge
+    # would rebuild them from the previous ``Offsets``.  A merge that fails
+    # part way then leaves a visibly incomplete directory.
+    titles = [FINAL_PATHS_TITLE, INDEX_TITLE, OFFSETS_TITLE]
+    for title in titles + [key.title for key in SortKey]:
         merged_file(directory, title).unlink(missing_ok=True)
     offsets: list[int] = []
-    with open(merged_file(directory, FINAL_PATHS_TITLE), "wb") as out_paths, open(
-        merged_file(directory, INDEX_TITLE), "wb"
-    ) as out_index:
-        for w in workers:
-            running = out_paths.tell()
-            offsets.append(running)
-            index = worker_file(directory, INDEX_TITLE, w)
-            with open(index, "rb") as ih:
-                out_index.writelines(
-                    _I64.pack(pos + running) for (pos,) in _records(ih, _I64, index.name)
-                )
-            with open(worker_file(directory, FINAL_PATHS_TITLE, w), "rb") as fh:
-                shutil.copyfileobj(fh, out_paths)
-    with open(merged_file(directory, OFFSETS_TITLE), "w", encoding="utf-8") as fh:
-        json.dump({"workers": workers, "offsets": offsets}, fh)
+    with _written_in_place_of(*(merged_file(directory, t) for t in titles)) as (
+        paths_partial, index_partial, offsets_partial,
+    ):
+        with open(paths_partial, "wb") as out_paths, open(index_partial, "wb") as out_index:
+            for w in workers:
+                running = out_paths.tell()
+                offsets.append(running)
+                index = worker_file(directory, INDEX_TITLE, w)
+                with open(index, "rb") as ih:
+                    out_index.writelines(
+                        _I64.pack(pos + running) for (pos,) in _records(ih, _I64, index.name)
+                    )
+                with open(worker_file(directory, FINAL_PATHS_TITLE, w), "rb") as fh:
+                    shutil.copyfileobj(fh, out_paths)
+        with open(offsets_partial, "w", encoding="utf-8") as fh:
+            json.dump({"workers": workers, "offsets": offsets}, fh)
     return offsets
 
 
@@ -446,18 +471,13 @@ def merge_sort_files(directory, key: SortKey, workers: list[int], offsets: list[
     which replaces the target only once it is complete."""
     directory = Path(directory)
     target = merged_file(directory, key.title)
-    partial = target.with_name(f"{target.name}.partial")
-    try:
-        with ExitStack() as stack:
-            streams = []
-            for w, offset in zip(workers, offsets):
-                src = worker_file(directory, key.title, w)
-                streams.append(_merge_keys(stack.enter_context(open(src, "rb")), key, offset, src.name))
-            out = stack.enter_context(open(partial, "wb"))
-            out.writelines(_I64.pack(pos) for _, pos in heapq.merge(*streams))
-        os.replace(partial, target)
-    finally:
-        partial.unlink(missing_ok=True)
+    with _written_in_place_of(target) as (partial,), ExitStack() as stack:
+        streams = []
+        for w, offset in zip(workers, offsets):
+            src = worker_file(directory, key.title, w)
+            streams.append(_merge_keys(stack.enter_context(open(src, "rb")), key, offset, src.name))
+        out = stack.enter_context(open(partial, "wb"))
+        out.writelines(_I64.pack(pos) for _, pos in heapq.merge(*streams))
     return target
 
 
@@ -477,7 +497,10 @@ class MergedStore:
     def read_path_at(self, pos: int) -> PathRecord:
         with open(merged_file(self.directory, FINAL_PATHS_TITLE), "rb") as fh:
             fh.seek(pos)
-            return decode_path(fh)
+            try:
+                return decode_path(fh)
+            except FormatError as e:
+                raise FormatError(f"{FINAL_PATHS_TITLE}, path at byte {pos}: {e}") from None
 
     def iter_paths(self) -> Iterator[PathRecord]:
         return _read_paths(

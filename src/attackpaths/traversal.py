@@ -29,10 +29,12 @@ from typing import Callable, Optional
 
 from .filters import FilterExpr, evaluate_filter
 from .model import (
+    ENV,
     FactCondition,
     GenericRule,
     Network,
     NormalRule,
+    OwnerKey,
     Position,
 )
 
@@ -112,21 +114,18 @@ class TraversalConfig:
 
 
 class Variant:
-    """Path-local copy of a container or link: base entity ID plus the fact
-    values as this path currently sees them."""
+    """Path-local copy of a container or link: its owner key, its base entity
+    ID and the fact values as this path currently sees them."""
 
-    __slots__ = ("kind", "base_id", "values")
+    __slots__ = ("key", "base_id", "values")
 
-    def __init__(self, kind: str, base_id: int, values: dict[int, bool]):
-        self.kind = kind
-        self.base_id = base_id
+    def __init__(self, key: OwnerKey, values: dict[int, bool]):
+        self.key = key
+        self.base_id = key[1]
         self.values = values
 
-    def copy(self) -> "Variant":
-        return Variant(self.kind, self.base_id, dict(self.values))
-
     def __repr__(self):
-        return f"Variant({self.kind} {self.base_id} {self.values})"
+        return f"Variant({self.key[0]} {self.base_id} {self.values})"
 
 
 class Connection:
@@ -143,16 +142,14 @@ class Connection:
 
 class TraversalPath:
     __slots__ = (
-        "id", "connections", "env_facts", "container_variants", "link_variants",
-        "fp_head", "started_at", "finalized_at",
+        "id", "connections", "env_facts", "variants", "fp_head", "started_at", "finalized_at",
     )
 
     def __init__(self, pid: int, env_facts: dict[int, bool], started_at: float):
         self.id = pid
         self.connections: list[Connection] = []
         self.env_facts = env_facts
-        self.container_variants: dict[int, Variant] = {}
-        self.link_variants: dict[int, Variant] = {}
+        self.variants: dict[OwnerKey, Variant] = {}
         # Fingerprint history as a shared immutable chain, so clones are O(1).
         self.fp_head: Optional[tuple] = None
         self.started_at = started_at
@@ -166,7 +163,7 @@ class TraversalPath:
 
 
 def new_seed_path(net: Network, path_id: int, started_at: float) -> TraversalPath:
-    return TraversalPath(path_id, dict(net.env_base_values), started_at)
+    return TraversalPath(path_id, dict(net.base_values[ENV]), started_at)
 
 
 def clone_path(path: TraversalPath, new_id: int) -> TraversalPath:
@@ -180,27 +177,25 @@ def clone_path(path: TraversalPath, new_id: int) -> TraversalPath:
     p.id = new_id
     p.connections = list(path.connections)
     p.env_facts = dict(path.env_facts)
-    p.container_variants = dict(path.container_variants)
-    p.link_variants = dict(path.link_variants)
+    p.variants = dict(path.variants)
     p.fp_head = path.fp_head
     p.started_at = path.started_at
     p.finalized_at = None
     return p
 
 
-def _take_variant(path: TraversalPath, kind: str, base_id: int, net: Network) -> Variant:
-    vmap = path.container_variants if kind == "container" else path.link_variants
-    existing = vmap.get(base_id)
-    if existing is not None:
-        v = existing.copy()
-    else:
-        base = (
-            net.container_base_values if kind == "container" else net.link_base_values
-        ).get(base_id)
-        if base is None:
-            raise TraversalError(f"unknown {kind} {base_id}")
-        v = Variant(kind, base_id, dict(base))
-    vmap[base_id] = v
+def _take_variant(path: TraversalPath, key: OwnerKey, net: Network) -> Variant:
+    """Register a fresh copy of the entity's current values as its variant.
+
+    Every variant is made here as a ``dict`` copy of the base values or of an
+    earlier variant, and rules only overwrite facts the entity already has,
+    so each variant keeps its entity's fact declaration order.
+    """
+    current = path.variants.get(key)
+    base = current.values if current is not None else net.base_values.get(key)
+    if base is None:
+        raise TraversalError(f"unknown {key[0]} {key[1]}")
+    v = path.variants[key] = Variant(key, dict(base))
     return v
 
 
@@ -221,62 +216,52 @@ def make_connection(
         )
     if link.directed and not forward:
         raise TraversalError(f"link {link_id} is directed and cannot be crossed backwards")
-    e1 = _take_variant(path, "container", from_container, net)
-    lv = _take_variant(path, "link", link_id, net)
-    e2 = _take_variant(path, "container", to_container, net)
+    e1 = _take_variant(path, ("container", from_container), net)
+    lv = _take_variant(path, ("link", link_id), net)
+    e2 = _take_variant(path, ("container", to_container), net)
     return Connection(conn_id, e1, lv, e2)
 
 
 def make_finalization_connection(
     path: TraversalPath, container: int, conn_id: int, net: Network
 ) -> Connection:
-    e1 = _take_variant(path, "container", container, net)
+    e1 = _take_variant(path, ("container", container), net)
     return Connection(conn_id, e1, None, None)
 
 
+def _values(path: TraversalPath, key: OwnerKey, net: Network) -> dict[int, bool]:
+    """The fact values of one owner as the path sees them: its environment,
+    its active variant, or else the base network."""
+    if key == ENV:
+        return path.env_facts
+    v = path.variants.get(key)
+    return v.values if v is not None else net.base_values[key]
+
+
 def lookup_normal_fact(path: TraversalPath, fact_id: int, net: Network) -> bool:
-    """Resolve a fact the way normal rules see it: the path's environment
-    first, then active variants, then the base network."""
-    owner = net.fact_owner.get(fact_id)
-    if owner is None:
+    """Resolve a fact the way normal rules see it."""
+    key = net.fact_owner.get(fact_id)
+    if key is None:
         raise TraversalError(f"unknown fact {fact_id}")
-    kind, oid = owner
-    if kind == "env":
-        return path.env_facts[fact_id]
-    if kind == "container":
-        v = path.container_variants.get(oid)
-        return v.values[fact_id] if v is not None else net.container_base_values[oid][fact_id]
-    v = path.link_variants.get(oid)
-    return v.values[fact_id] if v is not None else net.link_base_values[oid][fact_id]
+    return _values(path, key, net)[fact_id]
 
 
 def _set_fact(
     path: TraversalPath, conn: Connection, fact_id: int, value: bool,
     net: Network, fresh: set[int],
 ) -> None:
-    kind, oid = net.fact_owner[fact_id]
-    if kind == "env":
+    """Set one fact for the rest of the path.  The connection's own variants
+    are in ``fresh`` from the start, so only an entity off the connection is
+    copied, once per assessment."""
+    key = net.fact_owner[fact_id]
+    if key == ENV:
         path.env_facts[fact_id] = value
         conn.env_changes[fact_id] = value
         return
-    vmap = path.container_variants if kind == "container" else path.link_variants
-    v = vmap.get(oid)
-    if v is None:
-        base = (net.container_base_values if kind == "container" else net.link_base_values)[oid]
-        v = Variant(kind, oid, dict(base))
-        vmap[oid] = v
+    v = path.variants.get(key)
+    if v is None or id(v) not in fresh:
+        v = _take_variant(path, key, net)
         fresh.add(id(v))
-    elif id(v) not in fresh:
-        v = v.copy()
-        vmap[oid] = v
-        fresh.add(id(v))
-        # Keep the connection pointing at the copy that received the change.
-        if conn.entity1 is not None and conn.entity1.kind == kind and conn.entity1.base_id == oid:
-            conn.entity1 = v
-        if conn.entity2 is not None and conn.entity2.kind == kind and conn.entity2.base_id == oid:
-            conn.entity2 = v
-        if conn.link is not None and kind == "link" and conn.link.base_id == oid:
-            conn.link = v
     v.values[fact_id] = value
 
 
@@ -300,11 +285,6 @@ def _positioned(conn: Connection, position: Position) -> Optional[Variant]:
     return conn.link
 
 
-def _prop_fact(net: Network, v: Variant, prop: int) -> Optional[int]:
-    table = net.container_prop_fact if v.kind == "container" else net.link_prop_fact
-    return table.get(v.base_id, {}).get(prop)
-
-
 def evaluate_generic_rule(rule: GenericRule, conn: Connection, net: Network) -> bool:
     """A generic rule matches when every precondition's entity holds a fact on
     the named property with the required value, and every postcondition's
@@ -314,12 +294,12 @@ def evaluate_generic_rule(rule: GenericRule, conn: Connection, net: Network) -> 
         v = _positioned(conn, cond.position)
         if v is None:
             return False
-        fid = _prop_fact(net, v, cond.common_property)
+        fid = net.prop_fact[v.key].get(cond.common_property)
         if fid is None or v.values.get(fid) != cond.value:
             return False
     for cond in rule.postconditions:
         v = _positioned(conn, cond.position)
-        if v is None or _prop_fact(net, v, cond.common_property) is None:
+        if v is None or cond.common_property not in net.prop_fact[v.key]:
             return False
     return True
 
@@ -327,18 +307,7 @@ def evaluate_generic_rule(rule: GenericRule, conn: Connection, net: Network) -> 
 def apply_generic_postconditions(rule: GenericRule, conn: Connection, net: Network) -> None:
     for cond in rule.postconditions:
         v = _positioned(conn, cond.position)
-        fid = _prop_fact(net, v, cond.common_property)
-        v.values[fid] = cond.value
-
-
-def _start_only(rule: GenericRule) -> bool:
-    return all(
-        c.position is Position.START for c in rule.preconditions + rule.postconditions
-    )
-
-
-def _env_only(rule: NormalRule, net: Network) -> bool:
-    return all(net.fact_owner.get(c.fact, ("?",))[0] == "env" for c in rule.preconditions)
+        v.values[net.prop_fact[v.key][cond.common_property]] = cond.value
 
 
 def run_rules(
@@ -350,22 +319,23 @@ def run_rules(
     loop runs while anything fired and stops early once the connection's
     generic-rule count reaches the configured limit.
 
-    On a finalization connection only two kinds of rule are considered: normal
-    rules whose preconditions read environment facts exclusively, and generic
-    rules whose conditions mention the start container exclusively.
+    On a finalization connection only ``net.final_normal_rules`` and
+    ``net.final_generic_rules`` are considered: normal rules whose
+    preconditions read environment facts exclusively, and generic rules whose
+    conditions mention the start container exclusively.
     """
     triggered = conn.triggered_rules
     tset = set(triggered)
     fresh = {id(v) for v in (conn.entity1, conn.link, conn.entity2) if v is not None}
     generic_count = 0
     limit = config.generic_rule_limit
+    normal_rules = net.final_normal_rules if finalization else net.normal_rules_sorted
+    generic_rules = net.final_generic_rules if finalization else net.generic_rules_sorted
 
     while True:
         fired = False
-        for rule in net.normal_rules_sorted:
+        for rule in normal_rules:
             if rule.id in tset:
-                continue
-            if finalization and not _env_only(rule, net):
                 continue
             if all(lookup_normal_fact(path, c.fact, net) == c.value for c in rule.preconditions):
                 triggered.append(rule.id)
@@ -374,10 +344,8 @@ def run_rules(
                 fired = True
                 break
         if generic_count < limit:
-            for rule in net.generic_rules_sorted:
+            for rule in generic_rules:
                 if rule.id in tset:
-                    continue
-                if finalization and not _start_only(rule):
                     continue
                 if evaluate_generic_rule(rule, conn, net):
                     triggered.append(rule.id)
@@ -393,15 +361,19 @@ def run_rules(
 
 def connection_fingerprint(conn: Connection, env_facts: dict[int, bool]) -> tuple:
     """Identity of a traversal step: base IDs and fact values of all three
-    entities plus the environment snapshot after assessment."""
+    entities plus the environment snapshot after assessment.
+
+    No sort is needed: each entity's values, and the environment's, are in
+    its fact declaration order on every path (see ``_take_variant``), so
+    equal states give equal tuples."""
     def ent(v):
-        return (v.base_id, tuple(sorted(v.values.items()))) if v is not None else None
+        return (v.base_id, tuple(v.values.items())) if v is not None else None
 
     return (
         ent(conn.entity1),
         ent(conn.link),
         ent(conn.entity2),
-        tuple(sorted(env_facts.items())),
+        tuple(env_facts.items()),
     )
 
 
@@ -434,8 +406,7 @@ class IdSource:
 def _filter_satisfied(path: TraversalPath, config: TraversalConfig, net: Network) -> bool:
     if config.completion_filter is None:
         return True
-    v = path.container_variants.get(config.end)
-    values = v.values if v is not None else net.container_base_values[config.end]
+    values = _values(path, ("container", config.end), net)
     return evaluate_filter(config.completion_filter, values)
 
 

@@ -19,6 +19,9 @@ from attackpaths.model import (
     PropertyCondition,
 )
 from attackpaths import pathstore
+from attackpaths.engine import EngineConfig, run_multi, run_single
+from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
+from attackpaths.traversal import TraversalConfig
 
 PASSABLE, TOGGLE, MARK, GATE = 1, 2, 3, 4
 
@@ -242,3 +245,14 @@ def random_record(rng: random.Random) -> pathstore.PathRecord:
         ),
         tuple(fact() for _ in range(rng.randrange(0, 5))),
     )
+
+
+def layered_run(out_dir, workers: int = 1):
+    """Run ``layered(3, 3)`` (27 paths) into ``out_dir``, sorted and merged:
+    in this process, or in ``workers`` worker processes."""
+    net = generate_model(SyntheticSpec("layered", width=3, depth=3))
+    start, end = start_and_end(net)
+    config = TraversalConfig(start=start, end=end)
+    if workers == 1:
+        return run_single(net, config, out_dir)
+    return run_multi(net, EngineConfig(config, worker_count=workers), out_dir)

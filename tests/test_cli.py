@@ -3,6 +3,9 @@ import json
 import pytest
 
 from attackpaths.cli import CliError, main, parse_duration
+from attackpaths.pathstore import FINAL_PATHS_TITLE, merged_file
+
+from support import layered_run
 
 
 def run_cli(*argv):
@@ -163,6 +166,17 @@ class TestQuery:
         rc = run_cli("query", "--out", str(tmp_path))
         assert rc == 1
         assert "no merged run" in capsys.readouterr().err
+
+    def test_truncated_store_is_reported(self, tmp_path, capsys):
+        layered_run(tmp_path)
+        finals = merged_file(tmp_path, FINAL_PATHS_TITLE)
+        with open(finals, "r+b") as fh:
+            fh.truncate(finals.stat().st_size // 2)
+        rc = run_cli("query", "--out", str(tmp_path), "-k", "27", "--key", "id")
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1
+        assert err[0].startswith("error: Final paths, path at byte ")
 
 
 class TestGenValidateDot:

@@ -168,6 +168,6 @@ class TestBinding:
 
     def test_bound_filter_evaluates_against_base_values(self, filter_net):
         bound = bind_filter(parse_filter("F4:F and F5:F"), filter_net, 2)
-        assert evaluate_filter(bound, filter_net.container_base_values[2]) is True
+        assert evaluate_filter(bound, filter_net.base_values[("container", 2)]) is True
         bound = bind_filter(parse_filter("F4:T"), filter_net, 2)
-        assert evaluate_filter(bound, filter_net.container_base_values[2]) is False
+        assert evaluate_filter(bound, filter_net.base_values[("container", 2)]) is False

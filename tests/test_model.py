@@ -7,6 +7,7 @@ from attackpaths.model import (
     CommonProperty,
     Container,
     CustomProperty,
+    ENV,
     Fact,
     FactCondition,
     GenericRule,
@@ -245,16 +246,16 @@ class TestValidation:
 class TestModifiers:
     def test_override_container_fact(self, filter_net):
         out = apply_fact_override(filter_net, 4, True)
-        assert out.container_base_values[2][4] is True
-        assert filter_net.container_base_values[2][4] is False
+        assert out.base_values[("container", 2)][4] is True
+        assert filter_net.base_values[("container", 2)][4] is False
 
     def test_override_link_fact(self, filter_net):
         out = apply_fact_override(filter_net, 1, False)
-        assert out.link_base_values[1][1] is False
+        assert out.base_values[("link", 1)][1] is False
 
     def test_override_env_fact(self):
         net = tiny_net(environment_facts=(Fact(30, "env", False),))
-        assert apply_fact_override(net, 30, True).env_base_values[30] is True
+        assert apply_fact_override(net, 30, True).base_values[ENV][30] is True
 
     def test_override_unknown_fact(self, filter_net):
         with pytest.raises(ModelError, match="unknown fact 999"):

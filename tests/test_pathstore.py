@@ -56,7 +56,7 @@ from attackpaths.pathstore import (
 )
 from attackpaths.traversal import RunSummary, StopReason, TraversalConfig, single_threaded_search
 
-from support import random_record
+from support import layered_run, random_record
 
 i32 = struct.Struct("<i")
 i64 = struct.Struct("<q")
@@ -377,6 +377,28 @@ class TestMerge:
             merge_final_and_index(tmp_path, [0, 1, 2, 3])
         assert not merged_file(tmp_path, SortKey.ID.title).exists()
         assert not merged_file(tmp_path, OFFSETS_TITLE).exists()
+
+    def test_failed_remerge_leaves_no_merged_paths(self, tmp_path):
+        layered_run(tmp_path, workers=2)
+        index = worker_file(tmp_path, INDEX_TITLE, 0)
+        with open(index, "r+b") as fh:
+            fh.truncate(index.stat().st_size - 3)
+        with pytest.raises(FormatError, match="Index-0.tmp: truncated record"):
+            merge_final_and_index(tmp_path, [0, 1])
+        with pytest.raises(OSError):
+            MergedStore(tmp_path).count
+        assert not merged_file(tmp_path, FINAL_PATHS_TITLE).exists()
+        assert list(tmp_path.glob("*.partial")) == []
+
+    def test_missing_whole_records_raise(self, tmp_path):
+        layered_run(tmp_path)
+        for index in (merged_file(tmp_path, INDEX_TITLE), worker_file(tmp_path, INDEX_TITLE, 0)):
+            with open(index, "r+b") as fh:
+                fh.truncate(index.stat().st_size - 8)
+        with pytest.raises(FormatError, match="Final paths: data after the last of 26"):
+            list(MergedStore(tmp_path).iter_paths())
+        with pytest.raises(FormatError, match="Final paths-0.tmp: data after the last of 26"):
+            list(read_worker_paths(tmp_path, 0))
 
     def test_single_worker_merge_is_identity(self, tmp_path):
         rng = random.Random(5)

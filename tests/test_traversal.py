@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from attackpaths.filters import bind_filter, parse_filter
@@ -5,6 +7,7 @@ from attackpaths.model import (
     Action,
     CommonProperty,
     Container,
+    ENV,
     Fact,
     FactCondition,
     GenericRule,
@@ -35,7 +38,7 @@ from attackpaths.traversal import (
     single_threaded_search,
 )
 
-from support import action_model, rules_model
+from support import action_model, canonical_paths, random_model, rules_model
 
 
 def run_search(net, config, executor=None):
@@ -211,7 +214,7 @@ class TestRunRules:
         assert triggered == [1, 3, 4]
         assert path.env_facts[50] is False
         assert conn.env_changes == {50: False}
-        assert net.env_base_values[50] is True
+        assert net.base_values[ENV][50] is True
 
     def test_property_assignment_hits_every_bound_fact(self):
         net = rules_model(
@@ -224,8 +227,8 @@ class TestRunRules:
         for fid in net.facts_with_property[2]:
             assert lookup_normal_fact(path, fid, net) is True
         # Base values stay put.
-        assert net.link_base_values[1][11] is False
-        assert net.container_base_values[2][12] is False
+        assert net.base_values[("link", 1)][11] is False
+        assert net.base_values[("container", 2)][12] is False
 
     def test_generic_missing_property_never_matches(self):
         net = rules_model(
@@ -309,7 +312,7 @@ class TestConnections:
         assert lookup_normal_fact(path, 4, filter_net) is False
         conn.entity2.values[4] = True
         assert lookup_normal_fact(path, 4, filter_net) is True
-        assert filter_net.container_base_values[2][4] is False
+        assert filter_net.base_values[("container", 2)][4] is False
 
 
 class TestIsolation:
@@ -321,12 +324,12 @@ class TestIsolation:
         for _ in range(2):
             (p,), _ = expand_path(p, filter_net, cfg, ids, conns)
         snapshot = {
-            k: dict(v.values) for k, v in p.container_variants.items()
+            k: dict(v.values) for k, v in p.variants.items()
         }
         n_conns = len(p.connections)
         expand_path(p, filter_net, cfg, ids, conns)
         assert len(p.connections) == n_conns
-        assert {k: dict(v.values) for k, v in p.container_variants.items()} == snapshot
+        assert {k: dict(v.values) for k, v in p.variants.items()} == snapshot
 
     def test_sibling_branches_do_not_share_state(self):
         net = generate_model(SyntheticSpec("complete", n=3, template="no_revisit"))
@@ -338,9 +341,9 @@ class TestIsolation:
         assert len(branches) == 2
         by_target = {b.connections[0].entity2.base_id: b for b in branches}
         # The branch into C2 marked C2 visited; the sibling never saw C2.
-        assert by_target[2].container_variants[2].values[2] is True
-        assert 2 not in by_target[3].container_variants
-        assert seed.container_variants == {}
+        assert by_target[2].variants[("container", 2)].values[2] is True
+        assert ("container", 2) not in by_target[3].variants
+        assert seed.variants == {}
 
     def test_clone_copies_maps_but_shares_history(self, filter_net):
         cfg = fixture_config(filter_net)
@@ -352,8 +355,8 @@ class TestIsolation:
         assert q.id == 99
         assert q.connections == p.connections  # same objects, shared history
         assert q.connections is not p.connections
-        assert q.container_variants == p.container_variants
-        assert q.container_variants is not p.container_variants
+        assert q.variants == p.variants
+        assert q.variants is not p.variants
         assert q.fp_head is p.fp_head
 
 
@@ -377,6 +380,34 @@ class TestFingerprints:
         seed.env_facts[999] = True
         branches, _ = expand_path(seed, filter_net, cfg, IdSource(1, 1), IdSource(0, 1))
         assert len(branches) == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fact_declaration_order_is_irrelevant(self, seed):
+        # Fingerprints take each entity's facts in declaration order, unsorted.
+        # On these cyclic models only the repeat-state check ends the walk.
+        net = random_model(seed, cyclic=True)
+        flipped = replace(
+            net,
+            containers=tuple(replace(c, facts=c.facts[::-1]) for c in net.containers),
+            links=tuple(replace(l, facts=l.facts[::-1]) for l in net.links),
+            environment_facts=net.environment_facts[::-1],
+        )
+        assert any(len(e.facts) > 1 for e in net.links + net.containers)
+        cfg = TraversalConfig(start=1, end=max(c.id for c in net.containers), max_steps=100_000)
+
+        def every_kept_path(net):
+            ids, conns = IdSource(1, 1), IdSource(0, 1)
+            budget = LocalScheduler(cfg, 0.0)
+            stack, kept = [new_seed_path(net, 0, 0.0)], []
+            while stack:
+                branches, finals = expand_path(stack.pop(), net, cfg, ids, conns, budget=budget)
+                stack.extend(branches)
+                kept += branches + finals
+            return canonical_paths(kept)
+
+        kept = every_kept_path(net)
+        assert len(kept) > 1
+        assert every_kept_path(flipped) == kept
 
     def test_search_terminates_on_stateless_loop(self, filter_net):
         # End container 3 unreachable by filter state: with an unsatisfiable
