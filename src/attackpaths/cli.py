@@ -30,19 +30,13 @@ from .model import (
     find_fact,
     load_network_file,
     omit_rule,
+    read_model_text,
     validate_network,
 )
 from .pathstore import MergedStore, SortKey
 from .traversal import ActionExecutor, ActionMode, TraversalConfig
 
-_SORT_KEYS = {
-    "id": SortKey.ID,
-    "availability": SortKey.AVAILABILITY,
-    "confidentiality": SortKey.CONFIDENTIALITY,
-    "integrity": SortKey.INTEGRITY,
-    "total-run-time": SortKey.TOTAL_RUN_TIME,
-    "traversability-chance": SortKey.TRAVERSABILITY_CHANCE,
-}
+_SORT_KEYS = {key.title.lower().replace(" ", "-"): key for key in SortKey}
 
 
 class CliError(Exception):
@@ -162,9 +156,14 @@ def cmd_query(args) -> int:
     store = MergedStore(out_dir)
     if not pathstore.merged_file(out_dir, pathstore.FINAL_PATHS_TITLE).exists():
         raise CliError(f"no merged run found in {out_dir}")
+    if args.k < 0:
+        raise CliError(f"-k must be 0 or more, got {args.k}")
     key = _SORT_KEYS[args.key]
-    rows = store.query_sorted(key, args.k)
-    values = store.metric_values(key)
+    try:
+        rows = store.query_sorted(key, args.k)
+        values = store.metric_values(key)
+    except OSError as e:
+        raise CliError(f"run directory {out_dir} is damaged: {e}") from None
     print(f"{'#':>4}  {'path':>8}  {'chain':>5}  {args.key}")
     for rank, (pos, record) in enumerate(rows, start=1):
         value = values.get(pos)
@@ -238,14 +237,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        text = Path(args.model).read_text(encoding="utf-8")
-    except OSError as e:
-        raise CliError(f"cannot read model: {e}") from None
     from .model import parse_network
 
     try:
-        net = parse_network(text)
+        net = parse_network(read_model_text(args.model))
+    except OSError as e:
+        raise CliError(f"cannot read model: {e}") from None
     except ModelError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1

@@ -8,6 +8,10 @@ with at most one common property; fact identifiers are unique across the whole
 network (containers, links and the environment share one fact ID space).
 Normal and generic rules share one rule ID space.
 
+``parse_network`` reads every list in the document through one reader,
+``_items``, so a malformed document always raises ``ModelParseError`` naming
+the item at fault as ``<section>[i].<list>[j]: <reason>``.
+
 Networks are immutable once built.  ``apply_fact_override`` and ``omit_rule``
 return modified copies and never touch the original.
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from pathlib import Path
 from typing import Optional, Union
 
 
@@ -334,45 +339,127 @@ def validate_network(net: Network) -> list[str]:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-def _fact_from_obj(obj, where) -> Fact:
-    try:
-        return Fact(
-            id=int(obj["id"]),
-            name=str(obj.get("name", "")),
-            value=_as_bool(obj["value"], where),
-            common_property=(int(obj["common_property"]) if "common_property" in obj else None),
-        )
-    except KeyError as e:
-        raise ModelParseError(f"{where}: missing key {e.args[0]!r}") from None
-
-
-def _as_bool(v, where) -> bool:
-    if isinstance(v, bool):
-        return v
-    raise ModelParseError(f"{where}: expected a boolean, got {v!r}")
-
-
-def _custom_props(obj, where):
+def _items(obj, key, build) -> tuple:
+    """``build(item)`` for each item of the list ``obj[key]``; an absent key
+    reads as empty.  The one place a malformed item is reported: a missing
+    key or a bad value becomes ``ModelParseError`` naming the item, as in
+    ``normal_rules[0].preconditions[1]: missing key 'fact'``.  The place is
+    spelled out only on failure: an error from a nested list gains each
+    enclosing item's place as it passes out."""
+    items = obj.get(key, [])
+    if not isinstance(items, list):
+        raise ModelParseError(f"{key}: expected a list")
     out = []
-    for i, cp in enumerate(obj.get("custom_properties", [])):
+    for i, item in enumerate(items):
         try:
-            out.append(CustomProperty(key=str(cp["key"]), value=str(cp["value"])))
+            out.append(build(item))
+        except ModelParseError as e:
+            raise ModelParseError(f"{key}[{i}].{e}") from None
         except KeyError as e:
-            raise ModelParseError(
-                f"{where}.custom_properties[{i}]: missing key {e.args[0]!r}"
-            ) from None
+            raise ModelParseError(f"{key}[{i}]: missing key {e.args[0]!r}") from None
+        except (TypeError, ValueError, AttributeError, OverflowError) as e:
+            raise ModelParseError(f"{key}[{i}]: {e}") from None
     return tuple(out)
 
 
-def _impacts(obj, where) -> RuleImpacts:
+# Item builders raise plain TypeError or ValueError for a bad value;
+# ``_items`` turns it into ModelParseError with the item's place.
+def _as_bool(v) -> bool:
+    if isinstance(v, bool):
+        return v
+    raise TypeError(f"expected a boolean, got {v!r}")
+
+
+def _impacts(obj) -> RuleImpacts:
     raw = obj.get("impacts", {})
     if not isinstance(raw, dict):
-        raise ModelParseError(f"{where}.impacts: expected an object")
+        raise ModelParseError("impacts: expected an object")
     known = {"availability", "confidentiality", "integrity"}
     for k in raw:
         if k not in known:
-            raise ModelParseError(f"{where}.impacts: unknown key {k!r}")
+            raise ModelParseError(f"impacts: unknown key {k!r}")
     return RuleImpacts(**{k: float(v) for k, v in raw.items()})
+
+
+def _fact(f) -> Fact:
+    return Fact(
+        id=int(f["id"]),
+        name=str(f.get("name", "")),
+        value=_as_bool(f["value"]),
+        common_property=(int(f["common_property"]) if "common_property" in f else None),
+    )
+
+
+def _custom_property(p) -> CustomProperty:
+    return CustomProperty(key=str(p["key"]), value=str(p["value"]))
+
+
+def _container(c) -> Container:
+    return Container(
+        id=int(c["id"]),
+        name=str(c.get("name", "")),
+        facts=_items(c, "facts", _fact),
+        custom_properties=_items(c, "custom_properties", _custom_property),
+    )
+
+
+def _link(l) -> Link:
+    return Link(
+        id=int(l["id"]),
+        name=str(l.get("name", "")),
+        endpoint_a=int(l["from"]),
+        endpoint_b=int(l["to"]),
+        directed=_as_bool(l.get("directed", False)),
+        facts=_items(l, "facts", _fact),
+        custom_properties=_items(l, "custom_properties", _custom_property),
+    )
+
+
+def _fact_condition(c) -> FactCondition:
+    return FactCondition(int(c["fact"]), _as_bool(c["value"]))
+
+
+def _normal_postcondition(p) -> Union[FactCondition, PropertyAssignment]:
+    if "fact" in p:
+        return _fact_condition(p)
+    if "property" in p:
+        return PropertyAssignment(int(p["property"]), _as_bool(p["value"]))
+    raise ValueError("need either 'fact' or 'property'")
+
+
+def _property_condition(c) -> PropertyCondition:
+    if c["position"] not in ("start", "end", "link"):
+        raise ValueError("position must be start, end or link")
+    return PropertyCondition(Position(c["position"]), int(c["property"]), _as_bool(c["value"]))
+
+
+def _rule(r, cls, pre, post):
+    return cls(
+        id=int(r["id"]),
+        name=str(r.get("name", "")),
+        preconditions=_items(r, "preconditions", pre),
+        postconditions=_items(r, "postconditions", post),
+        action_ids=_items(r, "actions", int),
+        impacts=_impacts(r),
+    )
+
+
+def _action(a) -> Action:
+    return Action(
+        id=int(a["id"]), command=str(a["command"]), enabled=_as_bool(a.get("enabled", True))
+    )
+
+
+# Top-level section -> item builder.  The keys are Network's field names.
+_SECTIONS = {
+    "common_properties": lambda p: CommonProperty(int(p["id"]), str(p.get("name", ""))),
+    "containers": _container,
+    "links": _link,
+    "environment_facts": _fact,
+    "normal_rules": lambda r: _rule(r, NormalRule, _fact_condition, _normal_postcondition),
+    "generic_rules": lambda r: _rule(r, GenericRule, _property_condition, _property_condition),
+    "actions": _action,
+}
 
 
 def parse_network(text: str) -> Network:
@@ -381,141 +468,14 @@ def parse_network(text: str) -> Network:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ModelParseError("document nests too deeply") from None
     if not isinstance(doc, dict):
         raise ModelParseError("top level must be an object")
-
-    known = {
-        "common_properties", "containers", "links", "environment_facts",
-        "normal_rules", "generic_rules", "actions",
-    }
     for k in doc:
-        if k not in known:
+        if k not in _SECTIONS:
             raise ModelParseError(f"unknown top-level section {k!r}")
-
-    props = tuple(
-        CommonProperty(id=int(p["id"]), name=str(p.get("name", "")))
-        for p in doc.get("common_properties", [])
-    )
-
-    containers = []
-    for i, c in enumerate(doc.get("containers", [])):
-        where = f"containers[{i}]"
-        containers.append(
-            Container(
-                id=int(c["id"]),
-                name=str(c.get("name", "")),
-                facts=tuple(
-                    _fact_from_obj(f, f"{where}.facts[{j}]")
-                    for j, f in enumerate(c.get("facts", []))
-                ),
-                custom_properties=_custom_props(c, where),
-            )
-        )
-
-    links = []
-    for i, l in enumerate(doc.get("links", [])):
-        where = f"links[{i}]"
-        try:
-            links.append(
-                Link(
-                    id=int(l["id"]),
-                    name=str(l.get("name", "")),
-                    endpoint_a=int(l["from"]),
-                    endpoint_b=int(l["to"]),
-                    directed=bool(l.get("directed", False)),
-                    facts=tuple(
-                        _fact_from_obj(f, f"{where}.facts[{j}]")
-                        for j, f in enumerate(l.get("facts", []))
-                    ),
-                    custom_properties=_custom_props(l, where),
-                )
-            )
-        except KeyError as e:
-            raise ModelParseError(f"{where}: missing key {e.args[0]!r}") from None
-
-    env = tuple(
-        _fact_from_obj(f, f"environment_facts[{i}]")
-        for i, f in enumerate(doc.get("environment_facts", []))
-    )
-
-    normal = []
-    for i, r in enumerate(doc.get("normal_rules", [])):
-        where = f"normal_rules[{i}]"
-        posts: list[Union[FactCondition, PropertyAssignment]] = []
-        for j, p in enumerate(r.get("postconditions", [])):
-            if "fact" in p:
-                posts.append(FactCondition(int(p["fact"]), _as_bool(p["value"], where)))
-            elif "property" in p:
-                posts.append(PropertyAssignment(int(p["property"]), _as_bool(p["value"], where)))
-            else:
-                raise ModelParseError(
-                    f"{where}.postconditions[{j}]: need either 'fact' or 'property'"
-                )
-        try:
-            normal.append(
-                NormalRule(
-                    id=int(r["id"]),
-                    name=str(r.get("name", "")),
-                    preconditions=tuple(
-                        FactCondition(int(p["fact"]), _as_bool(p["value"], where))
-                        for p in r.get("preconditions", [])
-                    ),
-                    postconditions=tuple(posts),
-                    action_ids=tuple(int(a) for a in r.get("actions", [])),
-                    impacts=_impacts(r, where),
-                )
-            )
-        except KeyError as e:
-            raise ModelParseError(f"{where}: missing key {e.args[0]!r}") from None
-
-    generic = []
-    for i, r in enumerate(doc.get("generic_rules", [])):
-        where = f"generic_rules[{i}]"
-
-        def conds(key):
-            out = []
-            for j, c in enumerate(r.get(key, [])):
-                try:
-                    pos = Position(c["position"])
-                except ValueError:
-                    raise ModelParseError(
-                        f"{where}.{key}[{j}]: position must be start, end or link"
-                    ) from None
-                except KeyError as e:
-                    raise ModelParseError(
-                        f"{where}.{key}[{j}]: missing key {e.args[0]!r}"
-                    ) from None
-                out.append(PropertyCondition(pos, int(c["property"]), _as_bool(c["value"], where)))
-            return tuple(out)
-
-        try:
-            generic.append(
-                GenericRule(
-                    id=int(r["id"]),
-                    name=str(r.get("name", "")),
-                    preconditions=conds("preconditions"),
-                    postconditions=conds("postconditions"),
-                    action_ids=tuple(int(a) for a in r.get("actions", [])),
-                    impacts=_impacts(r, where),
-                )
-            )
-        except KeyError as e:
-            raise ModelParseError(f"{where}: missing key {e.args[0]!r}") from None
-
-    actions = tuple(
-        Action(id=int(a["id"]), command=str(a["command"]), enabled=bool(a.get("enabled", True)))
-        for a in doc.get("actions", [])
-    )
-
-    return Network(
-        containers=tuple(containers),
-        links=tuple(links),
-        common_properties=props,
-        environment_facts=env,
-        normal_rules=tuple(normal),
-        generic_rules=tuple(generic),
-        actions=tuple(actions),
-    )
+    return Network(**{name: _items(doc, name, build) for name, build in _SECTIONS.items()})
 
 
 def load_network(text: str) -> Network:
@@ -527,9 +487,18 @@ def load_network(text: str) -> Network:
     return net
 
 
+def read_model_text(path) -> str:
+    """Read a model file as UTF-8; undecodable bytes are a parse error
+    naming the file."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ModelParseError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def load_network_file(path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_network(fh.read())
+    return load_network(read_model_text(path))
 
 
 def _fact_obj(f: Fact):
@@ -539,86 +508,60 @@ def _fact_obj(f: Fact):
     return obj
 
 
+def _entity_obj(obj, entity):
+    """Add a container's or link's facts and custom properties, if any."""
+    if entity.facts:
+        obj["facts"] = [_fact_obj(f) for f in entity.facts]
+    if entity.custom_properties:
+        obj["custom_properties"] = [
+            {"key": p.key, "value": p.value} for p in entity.custom_properties
+        ]
+    return obj
+
+
+def _link_obj(l: Link):
+    obj = {"id": l.id, "name": l.name, "from": l.endpoint_a, "to": l.endpoint_b}
+    if l.directed:
+        obj["directed"] = True
+    return _entity_obj(obj, l)
+
+
+def _condition_obj(c):
+    if isinstance(c, FactCondition):
+        return {"fact": c.fact, "value": c.value}
+    if isinstance(c, PropertyAssignment):
+        return {"property": c.common_property, "value": c.value}
+    return {"position": c.position.value, "property": c.common_property, "value": c.value}
+
+
+def _rule_obj(r: Rule):
+    obj = {"id": r.id, "name": r.name,
+           "preconditions": [_condition_obj(c) for c in r.preconditions]}
+    if r.postconditions:
+        obj["postconditions"] = [_condition_obj(c) for c in r.postconditions]
+    if r.action_ids:
+        obj["actions"] = list(r.action_ids)
+    impacts = {k: v for k, v in vars(r.impacts).items() if v}
+    if impacts:
+        obj["impacts"] = impacts
+    return obj
+
+
 def dump_network(net: Network) -> str:
-    """Render a network back to its document form.
+    """Render a network back to its document form; empty sections are left out.
 
     ``load_network(dump_network(net))`` returns an equal network.
     """
-    doc: dict = {}
-    if net.common_properties:
-        doc["common_properties"] = [{"id": p.id, "name": p.name} for p in net.common_properties]
-    if net.containers:
-        doc["containers"] = []
-        for c in net.containers:
-            obj = {"id": c.id, "name": c.name}
-            if c.facts:
-                obj["facts"] = [_fact_obj(f) for f in c.facts]
-            if c.custom_properties:
-                obj["custom_properties"] = [{"key": p.key, "value": p.value} for p in c.custom_properties]
-            doc["containers"].append(obj)
-    if net.links:
-        doc["links"] = []
-        for l in net.links:
-            obj = {"id": l.id, "name": l.name, "from": l.endpoint_a, "to": l.endpoint_b}
-            if l.directed:
-                obj["directed"] = True
-            if l.facts:
-                obj["facts"] = [_fact_obj(f) for f in l.facts]
-            if l.custom_properties:
-                obj["custom_properties"] = [{"key": p.key, "value": p.value} for p in l.custom_properties]
-            doc["links"].append(obj)
-    if net.environment_facts:
-        doc["environment_facts"] = [_fact_obj(f) for f in net.environment_facts]
-
-    def impacts_obj(r):
-        out = {}
-        for k in ("availability", "confidentiality", "integrity"):
-            v = getattr(r.impacts, k)
-            if v:
-                out[k] = v
-        return out
-
-    if net.normal_rules:
-        doc["normal_rules"] = []
-        for r in net.normal_rules:
-            obj = {
-                "id": r.id,
-                "name": r.name,
-                "preconditions": [{"fact": c.fact, "value": c.value} for c in r.preconditions],
-            }
-            if r.postconditions:
-                obj["postconditions"] = [
-                    {"fact": p.fact, "value": p.value}
-                    if isinstance(p, FactCondition)
-                    else {"property": p.common_property, "value": p.value}
-                    for p in r.postconditions
-                ]
-            if r.action_ids:
-                obj["actions"] = list(r.action_ids)
-            if impacts_obj(r):
-                obj["impacts"] = impacts_obj(r)
-            doc["normal_rules"].append(obj)
-    if net.generic_rules:
-        doc["generic_rules"] = []
-        for r in net.generic_rules:
-            def cond_objs(conds):
-                return [
-                    {"position": c.position.value, "property": c.common_property, "value": c.value}
-                    for c in conds
-                ]
-            obj = {"id": r.id, "name": r.name, "preconditions": cond_objs(r.preconditions)}
-            if r.postconditions:
-                obj["postconditions"] = cond_objs(r.postconditions)
-            if r.action_ids:
-                obj["actions"] = list(r.action_ids)
-            if impacts_obj(r):
-                obj["impacts"] = impacts_obj(r)
-            doc["generic_rules"].append(obj)
-    if net.actions:
-        doc["actions"] = [
-            {"id": a.id, "command": a.command, "enabled": a.enabled} for a in net.actions
-        ]
-    return json.dumps(doc, indent=2) + "\n"
+    doc = {
+        "common_properties": [{"id": p.id, "name": p.name} for p in net.common_properties],
+        "containers": [_entity_obj({"id": c.id, "name": c.name}, c) for c in net.containers],
+        "links": [_link_obj(l) for l in net.links],
+        "environment_facts": [_fact_obj(f) for f in net.environment_facts],
+        "normal_rules": [_rule_obj(r) for r in net.normal_rules],
+        "generic_rules": [_rule_obj(r) for r in net.generic_rules],
+        "actions": [{"id": a.id, "command": a.command, "enabled": a.enabled} for a in net.actions],
+    }
+    return json.dumps({k: v for k, v in doc.items() if v}, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

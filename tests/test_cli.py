@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from attackpaths.cli import CliError, main, parse_duration
-from attackpaths.pathstore import FINAL_PATHS_TITLE, merged_file
+from attackpaths.cli import _SORT_KEYS, CliError, main, parse_duration
+from attackpaths.pathstore import FINAL_PATHS_TITLE, SortKey, merged_file, worker_file
 
 from support import layered_run
 
@@ -178,6 +178,29 @@ class TestQuery:
         assert len(err) == 1
         assert err[0].startswith("error: Final paths, path at byte ")
 
+    def test_missing_sort_file_is_reported(self, tmp_path, capsys):
+        layered_run(tmp_path, workers=2)
+        worker_file(tmp_path, SortKey.AVAILABILITY.title, 0).unlink()
+        rc = run_cli("query", "--out", str(tmp_path), "--key", "availability", "-k", "3")
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1
+        assert err[0].startswith(f"error: run directory {tmp_path} is damaged: ")
+        assert "Availability-0.tmp" in err[0]
+
+    def test_negative_k_rejected(self, tmp_path, capsys):
+        layered_run(tmp_path)
+        assert run_cli("query", "--out", str(tmp_path), "-k", "-1") == 1
+        assert capsys.readouterr().err.splitlines() == ["error: -k must be 0 or more, got -1"]
+        assert run_cli("query", "--out", str(tmp_path), "-k", "0") == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def test_key_choices_follow_file_titles(self):
+        assert sorted(_SORT_KEYS) == [
+            "availability", "confidentiality", "id", "integrity",
+            "total-run-time", "traversability-chance",
+        ]
+
 
 class TestGenValidateDot:
     def test_gen_to_stdout_parses(self, capsys):
@@ -216,6 +239,26 @@ class TestGenValidateDot:
         rc = run_cli("validate", "--model", str(bad))
         assert rc == 1
         assert "parse error" in capsys.readouterr().err
+
+    def test_validate_reports_missing_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"containers": [{"name": "x"}]}')
+        rc = run_cli("validate", "--model", str(bad))
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "parse error: containers[0]: missing key 'id'"
+        ]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_undecodable_model_names_the_file(self, command, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        extra = ["--start", "1", "--end", "2", "--out", str(tmp_path / "out")]
+        rc = run_cli(command, "--model", str(bad), *(extra if command == "run" else []))
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1
+        assert f"{bad}: not UTF-8 text" in err[0]
 
     def test_export_dot(self, fixture_model, capsys):
         rc = run_cli("export-dot", "--model", fixture_model)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -32,6 +33,7 @@ from attackpaths.model import (
     parse_network,
     validate_network,
 )
+from attackpaths.synth import SyntheticSpec, generate_model
 
 
 def tiny_net(**overrides) -> Network:
@@ -52,6 +54,40 @@ def tiny_net(**overrides) -> Network:
     )
     base.update(overrides)
     return Network(**base)
+
+
+def every_section_net() -> Network:
+    """A valid network that uses all seven sections."""
+    return Network(
+        containers=(
+            Container(1, "A", (Fact(10, "fa", True, 1),),
+                      (CustomProperty("note", "x"),)),
+            Container(2, "B"),
+        ),
+        links=(
+            Link(1, "ab", 1, 2, True, (Fact(12, "fl", False, 1),),
+                 (CustomProperty("traversal_chance", "0.5"),)),
+        ),
+        common_properties=(CommonProperty(1, "p"),),
+        environment_facts=(Fact(30, "env", True),),
+        normal_rules=(
+            NormalRule(
+                5, "n", (FactCondition(30, True),),
+                (FactCondition(10, False), PropertyAssignment(1, True)),
+                action_ids=(7,),
+                impacts=RuleImpacts(availability=0.25),
+            ),
+        ),
+        generic_rules=(
+            GenericRule(
+                6, "g",
+                (PropertyCondition(Position.START, 1, True),),
+                (PropertyCondition(Position.END, 1, False),),
+                impacts=RuleImpacts(integrity=0.5),
+            ),
+        ),
+        actions=(Action(7, "true", enabled=False),),
+    )
 
 
 class TestFixtureShape:
@@ -85,36 +121,7 @@ class TestRoundTrip:
         assert load_network(dump_network(filter_net)) == filter_net
 
     def test_dump_load_covers_every_section(self):
-        net = Network(
-            containers=(
-                Container(1, "A", (Fact(10, "fa", True, 1),),
-                          (CustomProperty("note", "x"),)),
-                Container(2, "B"),
-            ),
-            links=(
-                Link(1, "ab", 1, 2, True, (Fact(12, "fl", False, 1),),
-                     (CustomProperty("traversal_chance", "0.5"),)),
-            ),
-            common_properties=(CommonProperty(1, "p"),),
-            environment_facts=(Fact(30, "env", True),),
-            normal_rules=(
-                NormalRule(
-                    5, "n", (FactCondition(30, True),),
-                    (FactCondition(10, False), PropertyAssignment(1, True)),
-                    action_ids=(7,),
-                    impacts=RuleImpacts(availability=0.25),
-                ),
-            ),
-            generic_rules=(
-                GenericRule(
-                    6, "g",
-                    (PropertyCondition(Position.START, 1, True),),
-                    (PropertyCondition(Position.END, 1, False),),
-                    impacts=RuleImpacts(integrity=0.5),
-                ),
-            ),
-            actions=(Action(7, "true", enabled=False),),
-        )
+        net = every_section_net()
         assert validate_network(net) == []
         assert load_network(dump_network(net)) == net
 
@@ -126,6 +133,10 @@ class TestParseErrors:
     def test_bad_json_reports_location(self):
         with pytest.raises(ModelParseError, match="line 1"):
             parse_network("{nope")
+
+    def test_deep_nesting(self):
+        with pytest.raises(ModelParseError, match="nests too deeply"):
+            parse_network('{"containers": ' + "[" * 100_000 + "]" * 100_000 + "}")
 
     def test_top_level_not_object(self):
         with pytest.raises(ModelParseError, match="top level"):
@@ -162,6 +173,82 @@ class TestParseErrors:
         doc = {"generic_rules": [{"id": 1, "preconditions": [], "impacts": {"speed": 1}}]}
         with pytest.raises(ModelParseError, match="unknown key 'speed'"):
             parse_network(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"containers": [{"name": "x"}]}, "containers[0]: missing key 'id'"),
+        ({"containers": [{"id": "a"}]}, "containers[0]: invalid literal for int()"),
+        ({"containers": [5]}, "containers[0]: 'int' object is not subscriptable"),
+        ({"containers": {"id": 1}}, "containers: expected a list"),
+        ({"containers": [{"id": 1, "facts": [{"id": 2}]}]},
+         "containers[0].facts[0]: missing key 'value'"),
+        ({"links": [{"id": 1, "from": 1, "to": 2, "custom_properties": [{"key": "k"}]}]},
+         "links[0].custom_properties[0]: missing key 'value'"),
+        ({"generic_rules": [{"id": 1, "preconditions": [{"position": "start", "value": True}]}]},
+         "generic_rules[0].preconditions[0]: missing key 'property'"),
+        ({"normal_rules": [{"id": 1, "preconditions": [{"fact": 1, "value": 1}]}]},
+         "normal_rules[0].preconditions[0]: expected a boolean, got 1"),
+        ({"normal_rules": [{"id": 1, "preconditions": [], "actions": "12"}]},
+         "normal_rules[0].actions: expected a list"),
+        ({"normal_rules": [{"id": 1, "preconditions": [], "actions": [1, None]}]},
+         "normal_rules[0].actions[1]: int() argument must be"),
+        ({"links": [{"id": 1, "from": 1, "to": 2, "directed": "false"}]},
+         "links[0]: expected a boolean, got 'false'"),
+        ({"actions": [{"id": 1, "command": "true", "enabled": 0}]},
+         "actions[0]: expected a boolean, got 0"),
+    ])
+    def test_malformed_item_names_its_place(self, doc, message):
+        with pytest.raises(ModelParseError) as e:
+            parse_network(json.dumps(doc))
+        assert str(e.value).startswith(message)
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(ModelParseError, match=f"{path}: not UTF-8 text"):
+            load_network_file(path)
+
+
+def _places(node, path=()):
+    """Every place in a JSON document: each dict key and list index."""
+    if isinstance(node, (dict, list)):
+        for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (k,)
+            yield from _places(v, path + (k,))
+
+
+MUTANTS = (None, "x", 1.5, -1, [], {}, [1], True)
+
+
+def test_mutation_sweep_raises_only_parse_errors(filter_test_path):
+    """3 000 seeded one-field mutations: each either parses or raises
+    ModelParseError, never a raw KeyError, TypeError or the like."""
+    texts = [
+        filter_test_path.read_text(encoding="utf-8"),
+        dump_network(generate_model(SyntheticSpec("complete", n=4, template="no_revisit"))),
+        dump_network(every_section_net()),
+    ]
+    places = [list(_places(json.loads(t))) for t in texts]
+    for seed in range(3000):
+        rng = random.Random(seed)
+        which = seed % len(texts)
+        doc = json.loads(texts[which])
+        *head, last = path = rng.choice(places[which])
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        mutant = rng.randrange(len(MUTANTS) + 1)
+        if mutant == len(MUTANTS):
+            del parent[last]
+        else:
+            parent[last] = MUTANTS[mutant]
+        try:
+            parse_network(json.dumps(doc))
+        except ModelParseError:
+            pass
+        except Exception as e:
+            change = "deleted" if mutant == len(MUTANTS) else f"set to {MUTANTS[mutant]!r}"
+            pytest.fail(f"seed {seed}: document {which}, {list(path)} {change}: "
+                        f"raw {type(e).__name__}: {e}")
 
 
 class TestValidation:
