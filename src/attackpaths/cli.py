@@ -104,14 +104,24 @@ def _traversal_config(args, net: Network) -> TraversalConfig:
             completion = bind_filter(parse_filter(args.filter), net, end)
         except FilterError as e:
             raise CliError(f"bad filter: {e}") from None
-    return TraversalConfig(
-        start=start,
-        end=end,
-        generic_rule_limit=args.rule_limit,
-        completion_filter=completion,
-        stop_max_final_paths=args.max_final_paths,
-        stop_wall_clock=parse_duration(args.time_limit) if args.time_limit else None,
-    )
+    try:
+        return TraversalConfig(
+            start=start,
+            end=end,
+            generic_rule_limit=args.rule_limit,
+            completion_filter=completion,
+            stop_max_final_paths=args.max_final_paths,
+            stop_wall_clock=parse_duration(args.time_limit) if args.time_limit else None,
+        )
+    except ValueError as e:
+        raise CliError(str(e)) from None
+
+
+def _engine_config(args, tcfg: TraversalConfig, mode=ActionMode.DRY_RUN) -> engine.EngineConfig:
+    try:
+        return engine.EngineConfig(tcfg, args.workers, args.redistribution_threshold, mode)
+    except ValueError as e:
+        raise CliError(str(e)) from None
 
 
 def _print_summary(summary, out_dir) -> None:
@@ -140,13 +150,7 @@ def cmd_run(args) -> int:
         executor = ActionExecutor(mode)
         _, summary = engine.run_single(net, tcfg, out_dir, executor=executor, progress=True)
     else:
-        ecfg = engine.EngineConfig(
-            traversal=tcfg,
-            worker_count=args.workers,
-            redistribution_threshold=args.redistribution_threshold,
-            action_mode=mode,
-        )
-        _, summary = engine.run_multi(net, ecfg, out_dir, progress=True)
+        _, summary = engine.run_multi(net, _engine_config(args, tcfg, mode), out_dir, progress=True)
     _print_summary(summary, out_dir)
     return 0
 
@@ -212,12 +216,8 @@ def cmd_compare(args) -> int:
     single_dir = Path(out_dir) / "single"
     multi_dir = Path(out_dir) / "multi"
 
+    ecfg = _engine_config(args, tcfg)
     _, s_summary = engine.run_single(net, tcfg, single_dir, sort_and_merge=False)
-    ecfg = engine.EngineConfig(
-        traversal=tcfg,
-        worker_count=args.workers,
-        redistribution_threshold=args.redistribution_threshold,
-    )
     _, m_summary = engine.run_multi(net, ecfg, multi_dir, sort_and_merge=False)
     workers = ecfg.resolved_workers()
 

@@ -3,8 +3,9 @@ workers.
 
 Both modes run ``traversal.search_loop``: ``run_single`` as worker 0 of 1 in
 the calling process, where errors surface raw, and ``run_multi`` in one
-forked process per worker, where a failure surfaces as ``EngineError``.  A
-multi-worker run shares its stop flag, final-path count and step budget.
+forked process per worker, where a failure surfaces as ``EngineError``.
+``search_loop`` applies every bound; a multi-worker run shares the counts it
+checks them against, its stop flag and its stop reason.
 Whenever a worker's stack reaches the redistribution threshold and some
 other worker sits idle, the bottom half of the stack moves to the
 lowest-numbered idle worker.  An idle worker sleeps on its bell until a
@@ -40,9 +41,7 @@ from .traversal import (
     ActionMode,
     LocalScheduler,
     RunSummary,
-    StepBudgetExceeded,
     StopReason,
-    SummaryAccumulator,
     TraversalConfig,
     search_loop,
 )
@@ -51,6 +50,8 @@ from .traversal import expand_path, single_threaded_search  # noqa: F401
 
 _WORKING = 0
 _IDLE = 1
+# Shared memory holds a stop reason as its index here; 0 is ``exhausted``.
+_STOP_REASONS = tuple(StopReason)
 
 
 class EngineError(Exception):
@@ -119,52 +120,41 @@ def redistribute(stack: list, shared: SharedState, worker: int, threshold: int) 
     return target
 
 
-def _note_final(shared: SharedState, max_paths: Optional[int]) -> int:
-    with shared.finals.get_lock():
-        shared.finals.value += 1
-        count = shared.finals.value
-    if max_paths is not None and count >= max_paths:
-        _request_stop(shared, 1)
-    return count
+def _add_one(counter) -> int:
+    """Add one to a shared counter under its lock; returns the new count."""
+    with counter.get_lock():
+        counter.value += 1
+        return counter.value
 
 
-def _request_stop(shared: SharedState, reason: int = 0) -> None:
+def _request_stop(shared: SharedState, reason: StopReason = StopReason.EXHAUSTED) -> None:
     """Wind the whole run down; the first request sets the stop reason and
     wakes every idle worker."""
     with shared.finals.get_lock():
         first = shared.stop.value == 0
         if first:
             shared.stop.value = 1
-            shared.stop_reason.value = reason
+            shared.stop_reason.value = _STOP_REASONS.index(reason)
     if first:
         for bell in shared.bells:
             bell.release()
 
 
 class SharedScheduler:
-    """Scheduling for worker ``worker`` of a multi-worker run: the stop flag,
-    the final-path count and the step budget are shared by all workers, a
-    full stack gives work away, and an empty one waits for a transfer."""
+    """Scheduling for worker ``worker`` of a multi-worker run: the counts and
+    the stop flag are shared by all workers, a stack at the threshold gives
+    work away, and an empty one waits for a transfer."""
 
-    def __init__(self, shared: SharedState, worker: int, config: EngineConfig, started: float):
-        tcfg = config.traversal
+    def __init__(self, shared: SharedState, worker: int, threshold: int, started: float):
         self.shared = shared
         self.worker = worker
         self.workers = shared.worker_count
+        self.threshold = threshold
         self.started = started
-        self.deadline = started + tcfg.stop_wall_clock if tcfg.stop_wall_clock else None
-        self.max_paths = tcfg.stop_max_final_paths
-        self.max_steps = tcfg.max_steps
-        self.threshold = config.redistribution_threshold
 
     def keep_going(self, stack: list) -> bool:
         shared = self.shared
-        while True:
-            if shared.stop.value:
-                return False
-            if self.deadline is not None and time.perf_counter() > self.deadline:
-                _request_stop(shared, 2)
-                return False
+        while not shared.stop.value:
             redistribute(stack, shared, self.worker, self.threshold)
             if stack:
                 return True
@@ -172,16 +162,16 @@ class SharedScheduler:
             if batch is None:
                 return False
             stack.extend(batch)
+        return False
+
+    def stop(self, reason: StopReason) -> None:
+        _request_stop(self.shared, reason)
 
     def note_final(self) -> int:
-        return _note_final(self.shared, self.max_paths)
+        return _add_one(self.shared.finals)
 
-    def tick(self) -> None:
-        with self.shared.steps.get_lock():
-            self.shared.steps.value += 1
-            used = self.shared.steps.value
-        if used > self.max_steps:
-            raise StepBudgetExceeded(f"step budget of {self.max_steps} exceeded")
+    def tick(self) -> int:
+        return _add_one(self.shared.steps)
 
 
 def _print_progress(count: int) -> None:
@@ -191,9 +181,9 @@ def _print_progress(count: int) -> None:
 def _search_to_files(
     net: Network, config: TraversalConfig, scheduler, out_dir, executor: ActionExecutor,
     sort_and_merge: bool, progress: bool,
-) -> tuple[SummaryAccumulator, float, float]:
+) -> tuple[RunSummary, float, float]:
     """Run one worker's search into its path files, then write its sort files.
-    Returns its accumulator and the times its search and its sort ended."""
+    Returns its summary and the times its search and its sort ended."""
     writer = PathWriter(out_dir, scheduler.worker)
     metrics: list[tuple] = []
 
@@ -201,7 +191,7 @@ def _search_to_files(
         metrics.append((compute_metrics(path, net), writer.append(path)))
 
     try:
-        acc = search_loop(
+        summary = search_loop(
             net, config, scheduler, sink, executor, _print_progress if progress else None
         )
     finally:
@@ -209,7 +199,7 @@ def _search_to_files(
     done_at = time.perf_counter()
     if sort_and_merge:
         pathstore.write_all_sort_files(out_dir, scheduler.worker, metrics)
-    return acc, done_at, time.perf_counter()
+    return summary, done_at, time.perf_counter()
 
 
 def _worker_main(
@@ -225,7 +215,8 @@ def _worker_main(
     result = error = None
     try:
         result = _search_to_files(
-            net, config.traversal, SharedScheduler(shared, worker, config, started), out_dir,
+            net, config.traversal,
+            SharedScheduler(shared, worker, config.redistribution_threshold, started), out_dir,
             ActionExecutor(config.action_mode), sort_and_merge, progress,
         )
     except BaseException:
@@ -354,12 +345,13 @@ def run_multi(
         raise EngineError(f"run failed: {failure}")
 
     parts, searches_done, sorts_done = zip(*(m["result"] for m in messages))
-    acc = SummaryAccumulator()
+    summary = RunSummary()
     for part in parts:
-        acc.merge(part)
+        summary.merge(part)
     done_at, sort_done_at = max(searches_done), max(sorts_done)
-    reasons = (StopReason.EXHAUSTED, StopReason.MAX_PATHS, StopReason.TIME_LIMIT)
-    summary = acc.summary(done_at - started, reasons[shared.stop_reason.value], sort_done_at - done_at)
+    summary.elapsed_seconds = done_at - started
+    summary.sort_merge_seconds = sort_done_at - done_at
+    summary.stop_reason = _STOP_REASONS[shared.stop_reason.value]
     return _finish_run(out_path, workers, summary, sort_and_merge)
 
 
@@ -375,15 +367,17 @@ def run_single(
     one-worker ``run_multi`` writes; with no ``executor``, actions run dry."""
     out_path = _prepare_out_dir(out_dir)
     started = time.perf_counter()
-    scheduler = LocalScheduler(config, started)
+    scheduler = LocalScheduler(started)
     if executor is None:
         executor = ActionExecutor()
     try:
-        acc, done_at, sort_done_at = _search_to_files(
+        summary, done_at, sort_done_at = _search_to_files(
             net, config, scheduler, out_path, executor, sort_and_merge, progress
         )
     except BaseException:
         _cleanup_worker_files(out_path, 1)
         raise
-    summary = acc.summary(done_at - started, scheduler.stop_reason, sort_done_at - done_at)
+    summary.elapsed_seconds = done_at - started
+    summary.sort_merge_seconds = sort_done_at - done_at
+    summary.stop_reason = scheduler.stop_reason
     return _finish_run(out_path, 1, summary, sort_and_merge)

@@ -370,23 +370,32 @@ def _as_bool(v) -> bool:
     raise TypeError(f"expected a boolean, got {v!r}")
 
 
+def _as_int(v) -> int:
+    """A JSON integer: not ``true``, not ``1.5``, not ``"1"``."""
+    if type(v) is int:
+        return v
+    raise TypeError(f"expected an integer, got {v!r}")
+
+
 def _impacts(obj) -> RuleImpacts:
     raw = obj.get("impacts", {})
     if not isinstance(raw, dict):
         raise ModelParseError("impacts: expected an object")
     known = {"availability", "confidentiality", "integrity"}
-    for k in raw:
+    for k, v in raw.items():
         if k not in known:
             raise ModelParseError(f"impacts: unknown key {k!r}")
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ModelParseError(f"impacts.{k}: expected a number, got {v!r}")
     return RuleImpacts(**{k: float(v) for k, v in raw.items()})
 
 
 def _fact(f) -> Fact:
     return Fact(
-        id=int(f["id"]),
+        id=_as_int(f["id"]),
         name=str(f.get("name", "")),
         value=_as_bool(f["value"]),
-        common_property=(int(f["common_property"]) if "common_property" in f else None),
+        common_property=(_as_int(f["common_property"]) if "common_property" in f else None),
     )
 
 
@@ -396,7 +405,7 @@ def _custom_property(p) -> CustomProperty:
 
 def _container(c) -> Container:
     return Container(
-        id=int(c["id"]),
+        id=_as_int(c["id"]),
         name=str(c.get("name", "")),
         facts=_items(c, "facts", _fact),
         custom_properties=_items(c, "custom_properties", _custom_property),
@@ -405,10 +414,10 @@ def _container(c) -> Container:
 
 def _link(l) -> Link:
     return Link(
-        id=int(l["id"]),
+        id=_as_int(l["id"]),
         name=str(l.get("name", "")),
-        endpoint_a=int(l["from"]),
-        endpoint_b=int(l["to"]),
+        endpoint_a=_as_int(l["from"]),
+        endpoint_b=_as_int(l["to"]),
         directed=_as_bool(l.get("directed", False)),
         facts=_items(l, "facts", _fact),
         custom_properties=_items(l, "custom_properties", _custom_property),
@@ -416,43 +425,43 @@ def _link(l) -> Link:
 
 
 def _fact_condition(c) -> FactCondition:
-    return FactCondition(int(c["fact"]), _as_bool(c["value"]))
+    return FactCondition(_as_int(c["fact"]), _as_bool(c["value"]))
 
 
 def _normal_postcondition(p) -> Union[FactCondition, PropertyAssignment]:
     if "fact" in p:
         return _fact_condition(p)
     if "property" in p:
-        return PropertyAssignment(int(p["property"]), _as_bool(p["value"]))
+        return PropertyAssignment(_as_int(p["property"]), _as_bool(p["value"]))
     raise ValueError("need either 'fact' or 'property'")
 
 
 def _property_condition(c) -> PropertyCondition:
     if c["position"] not in ("start", "end", "link"):
         raise ValueError("position must be start, end or link")
-    return PropertyCondition(Position(c["position"]), int(c["property"]), _as_bool(c["value"]))
+    return PropertyCondition(Position(c["position"]), _as_int(c["property"]), _as_bool(c["value"]))
 
 
 def _rule(r, cls, pre, post):
     return cls(
-        id=int(r["id"]),
+        id=_as_int(r["id"]),
         name=str(r.get("name", "")),
         preconditions=_items(r, "preconditions", pre),
         postconditions=_items(r, "postconditions", post),
-        action_ids=_items(r, "actions", int),
+        action_ids=_items(r, "actions", _as_int),
         impacts=_impacts(r),
     )
 
 
 def _action(a) -> Action:
-    return Action(
-        id=int(a["id"]), command=str(a["command"]), enabled=_as_bool(a.get("enabled", True))
-    )
+    if not isinstance(a["command"], str):
+        raise TypeError(f"command: expected a string, got {a['command']!r}")
+    return Action(_as_int(a["id"]), a["command"], _as_bool(a.get("enabled", True)))
 
 
 # Top-level section -> item builder.  The keys are Network's field names.
 _SECTIONS = {
-    "common_properties": lambda p: CommonProperty(int(p["id"]), str(p.get("name", ""))),
+    "common_properties": lambda p: CommonProperty(_as_int(p["id"]), str(p.get("name", ""))),
     "containers": _container,
     "links": _link,
     "environment_facts": _fact,

@@ -32,7 +32,6 @@ renamed onto ``<title>`` only once complete.
 from __future__ import annotations
 
 import heapq
-import io
 import json
 import os
 import shutil
@@ -306,10 +305,6 @@ def decode_path(stream: BinaryIO) -> PathRecord:
             _decode_facts(stream, "connection", cid),
         ))
     return PathRecord(pid, tuple(conns), _decode_facts(stream, "path", pid))
-
-
-def decode_path_bytes(buf: bytes) -> PathRecord:
-    return decode_path(io.BytesIO(buf))
 
 
 # ---------------------------------------------------------------------------

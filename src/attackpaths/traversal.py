@@ -17,13 +17,18 @@ Two admission checks keep the search finite and meaningful:
 Paths that sit on the end container (and satisfy the completion filter, when
 one is set) are finalized: they receive one last connection holding only the
 end container, run the restricted finalization rule assessment, and stop.
+
+Every run searches in ``search_loop``, which applies all three bounds:
+``stop_wall_clock`` before each pop, ``stop_max_final_paths`` after each final
+path and ``max_steps`` at each candidate step.  A scheduler only keeps the
+run-wide counts and the first stop reason, and moves work between workers.
 """
 
 from __future__ import annotations
 
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Callable, Optional
 
@@ -111,6 +116,10 @@ class TraversalConfig:
     def __post_init__(self):
         if self.generic_rule_limit < 1:
             raise ValueError("generic_rule_limit must be positive")
+        if self.stop_max_final_paths is not None and self.stop_max_final_paths < 1:
+            raise ValueError("stop_max_final_paths must be at least 1")
+        if self.stop_wall_clock is not None and not self.stop_wall_clock > 0:
+            raise ValueError("stop_wall_clock must be a positive number of seconds")
 
 
 class Variant:
@@ -425,10 +434,11 @@ def expand_path(
     path: TraversalPath, net: Network, config: TraversalConfig,
     path_ids: IdSource, conn_ids: IdSource,
     executor: Optional[ActionExecutor] = None,
-    budget=None,
+    step: Optional[Callable[[], None]] = None,
 ) -> tuple[list[TraversalPath], list[TraversalPath]]:
     """Expand one popped path.  Returns ``(in_progress, finals)``.  Each
-    candidate step first calls ``budget.tick()``, when a budget is given.
+    candidate step first calls ``step()``, when one is given; ``search_loop``
+    passes one that enforces ``max_steps``.
 
     A path sitting on the end container with its filter satisfied finalizes
     and emits no branches.  Otherwise one clone per legal link crossing is
@@ -438,8 +448,8 @@ def expand_path(
     """
     current = path.current_container(config)
     if current == config.end and _filter_satisfied(path, config, net):
-        if budget is not None:
-            budget.tick()
+        if step is not None:
+            step()
         final = clone_path(path, path_ids.take())
         conn = make_finalization_connection(final, current, conn_ids.take(), net)
         run_rules(final, conn, net, config, finalization=True)
@@ -450,8 +460,8 @@ def expand_path(
 
     branches: list[TraversalPath] = []
     for link_id, neighbor in net.adjacency.get(current, ()):
-        if budget is not None:
-            budget.tick()
+        if step is not None:
+            step()
         child = clone_path(path, path_ids.take())
         conn = make_connection(child, current, link_id, neighbor, conn_ids.take(), net)
         run_rules(child, conn, net, config)
@@ -468,8 +478,24 @@ def expand_path(
     return branches, []
 
 
+def _chain(a: tuple[int, int], b: tuple[int, int], better) -> tuple[int, int]:
+    """Combine two ``(connections, paths at that length)`` records, keeping
+    the length ``better`` picks; ``(0, 0)`` stands for no path yet."""
+    if a == (0, 0):
+        return b
+    if b == (0, 0):
+        return a
+    if a[0] == b[0]:
+        return (a[0], a[1] + b[1])
+    return a if better(a[0], b[0]) == a[0] else b
+
+
 @dataclass
 class RunSummary:
+    """What a run found, how long it took and why it stopped.  ``add`` counts
+    one final path and ``merge`` folds in another worker's counts; the timing
+    fields and the stop reason are set by whoever ran the search."""
+
     total_final_paths: int = 0
     total_connections: int = 0
     total_rules_triggered: int = 0
@@ -481,92 +507,33 @@ class RunSummary:
     actions_run: int = 0
     action_failures: int = 0
 
+    def add(self, path: TraversalPath) -> None:
+        n = len(path.connections)
+        self.total_final_paths += 1
+        self.total_connections += n
+        self.total_rules_triggered += sum(len(c.triggered_rules) for c in path.connections)
+        self.longest_chain = _chain(self.longest_chain, (n, 1), max)
+        self.shortest_chain = _chain(self.shortest_chain, (n, 1), min)
+
+    def merge(self, other: "RunSummary") -> None:
+        self.total_final_paths += other.total_final_paths
+        self.total_connections += other.total_connections
+        self.total_rules_triggered += other.total_rules_triggered
+        self.longest_chain = _chain(self.longest_chain, other.longest_chain, max)
+        self.shortest_chain = _chain(self.shortest_chain, other.shortest_chain, min)
+        self.actions_run += other.actions_run
+        self.action_failures += other.action_failures
+
     def to_dict(self) -> dict:
-        return {
-            "total_final_paths": self.total_final_paths,
-            "total_connections": self.total_connections,
-            "total_rules_triggered": self.total_rules_triggered,
-            "longest_chain": list(self.longest_chain),
-            "shortest_chain": list(self.shortest_chain),
-            "elapsed_seconds": self.elapsed_seconds,
-            "sort_merge_seconds": self.sort_merge_seconds,
-            "stop_reason": self.stop_reason.value,
-            "actions_run": self.actions_run,
-            "action_failures": self.action_failures,
-        }
+        """The summary file's document: one key per field, in field order.
+        JSON writes the chains as lists and the stop reason as its string."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunSummary":
-        return cls(
-            total_final_paths=d["total_final_paths"],
-            total_connections=d["total_connections"],
-            total_rules_triggered=d["total_rules_triggered"],
-            longest_chain=tuple(d["longest_chain"]),
-            shortest_chain=tuple(d["shortest_chain"]),
-            elapsed_seconds=d["elapsed_seconds"],
-            sort_merge_seconds=d["sort_merge_seconds"],
-            stop_reason=StopReason(d["stop_reason"]),
-            actions_run=d.get("actions_run", 0),
-            action_failures=d.get("action_failures", 0),
-        )
-
-
-class SummaryAccumulator:
-    def __init__(self):
-        self.finals = 0
-        self.connections = 0
-        self.rules = 0
-        self.longest = (0, 0)
-        self.shortest = (0, 0)
-        self.actions_run = 0
-        self.action_failures = 0
-
-    def add(self, path: TraversalPath) -> None:
-        n = len(path.connections)
-        self.finals += 1
-        self.connections += n
-        self.rules += sum(len(c.triggered_rules) for c in path.connections)
-        if self.longest == (0, 0) or n > self.longest[0]:
-            self.longest = (n, 1)
-        elif n == self.longest[0]:
-            self.longest = (n, self.longest[1] + 1)
-        if self.shortest == (0, 0) or n < self.shortest[0]:
-            self.shortest = (n, 1)
-        elif n == self.shortest[0]:
-            self.shortest = (n, self.shortest[1] + 1)
-
-    def merge(self, other: "SummaryAccumulator") -> None:
-        self.finals += other.finals
-        self.connections += other.connections
-        self.rules += other.rules
-        self.actions_run += other.actions_run
-        self.action_failures += other.action_failures
-        for attr, better in (("longest", max), ("shortest", min)):
-            a, b = getattr(self, attr), getattr(other, attr)
-            if a == (0, 0):
-                setattr(self, attr, b)
-            elif b == (0, 0):
-                pass
-            elif a[0] == b[0]:
-                setattr(self, attr, (a[0], a[1] + b[1]))
-            else:
-                setattr(self, attr, a if better(a[0], b[0]) == a[0] else b)
-
-    def summary(
-        self, elapsed_seconds: float, stop_reason: StopReason, sort_merge_seconds: float = 0.0,
-    ) -> RunSummary:
-        return RunSummary(
-            total_final_paths=self.finals,
-            total_connections=self.connections,
-            total_rules_triggered=self.rules,
-            longest_chain=self.longest,
-            shortest_chain=self.shortest,
-            elapsed_seconds=elapsed_seconds,
-            sort_merge_seconds=sort_merge_seconds,
-            stop_reason=stop_reason,
-            actions_run=self.actions_run,
-            action_failures=self.action_failures,
-        )
+        """Inverse of ``to_dict``.  A missing key takes the field's default;
+        a present one is converted to the type of that default."""
+        return cls(**{f.name: type(f.default)(d[f.name]) for f in fields(cls) if f.name in d})
 
 
 PROGRESS_EVERY = 10000
@@ -574,72 +541,81 @@ PROGRESS_EVERY = 10000
 
 class LocalScheduler:
     """Scheduling for a search that runs alone, as worker 0 of 1: no work
-    moves, every bound is counted locally, and a drained stack ends it."""
+    moves, the counts are plain ints, and a drained stack ends the run."""
 
     worker = 0
     workers = 1
 
-    def __init__(self, config: TraversalConfig, started: float):
+    def __init__(self, started: float):
         self.started = started
-        self.deadline = started + config.stop_wall_clock if config.stop_wall_clock else None
-        self.max_paths = config.stop_max_final_paths
-        self.max_steps = config.max_steps
         self.steps = 0
         self.finals = 0
+        self.stopped = False
         self.stop_reason = StopReason.EXHAUSTED
 
     def keep_going(self, stack: list) -> bool:
-        if not stack:
-            return False
-        if self.max_paths is not None and self.finals >= self.max_paths:
-            self.stop_reason = StopReason.MAX_PATHS
-            return False
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            self.stop_reason = StopReason.TIME_LIMIT
-            return False
-        return True
+        return not self.stopped and bool(stack)
+
+    def stop(self, reason: StopReason) -> None:
+        if not self.stopped:
+            self.stopped, self.stop_reason = True, reason
 
     def note_final(self) -> int:
         self.finals += 1
         return self.finals
 
-    def tick(self) -> None:
+    def tick(self) -> int:
         self.steps += 1
-        if self.steps > self.max_steps:
-            raise StepBudgetExceeded(f"step budget of {self.max_steps} exceeded")
+        return self.steps
 
 
 def search_loop(
     net: Network, config: TraversalConfig, scheduler, sink: Callable[[TraversalPath], None],
     executor: Optional[ActionExecutor] = None,
     progress: Optional[Callable[[int], None]] = None,
-) -> SummaryAccumulator:
+) -> RunSummary:
     """The depth-first search of every run, as worker ``scheduler.worker``
-    of ``scheduler.workers``; worker 0 starts from the seed path.  Before each
-    pop, ``scheduler.keep_going(stack)`` decides whether to go on and may
-    refill an empty stack.  Finalized paths go to ``sink`` and into the
-    returned accumulator."""
+    of ``scheduler.workers``; worker 0 starts from the seed path.  Before
+    each pop, ``scheduler.keep_going(stack)`` says whether the run goes on
+    and may refill an empty stack.  The bounds are applied here, against the
+    scheduler's run-wide counts: the N-th final path stops the run with
+    ``max-paths``, even where the search would have ended anyway.  Finalized
+    paths go to ``sink`` and into the returned summary, whose timing and
+    stop reason the caller sets."""
     path_ids = IdSource(scheduler.worker, scheduler.workers)
     conn_ids = IdSource(scheduler.worker, scheduler.workers)
     stack = []
     if scheduler.worker == 0:
         stack.append(new_seed_path(net, path_ids.take(), scheduler.started))
-    budget = scheduler if config.max_steps is not None else None
-    acc = SummaryAccumulator()
+    deadline = None if config.stop_wall_clock is None else scheduler.started + config.stop_wall_clock
+    max_paths, max_steps = config.stop_max_final_paths, config.max_steps
+    step = None
+    if max_steps is not None:
+        def step():
+            if scheduler.tick() > max_steps:
+                raise StepBudgetExceeded(f"step budget of {max_steps} exceeded")
+
+    summary = RunSummary()
     while scheduler.keep_going(stack):
-        path = stack.pop()
-        in_progress, finals = expand_path(path, net, config, path_ids, conn_ids, executor, budget)
+        if deadline is not None and time.perf_counter() > deadline:
+            scheduler.stop(StopReason.TIME_LIMIT)
+            break
+        in_progress, finals = expand_path(
+            stack.pop(), net, config, path_ids, conn_ids, executor, step
+        )
         stack.extend(in_progress)
         for f in finals:
             sink(f)
-            acc.add(f)
+            summary.add(f)
             count = scheduler.note_final()
             if progress is not None and count % PROGRESS_EVERY == 0:
                 progress(count)
+            if max_paths is not None and count >= max_paths:
+                scheduler.stop(StopReason.MAX_PATHS)
     if executor is not None:
-        acc.actions_run = len(executor.records)
-        acc.action_failures = sum(1 for r in executor.records if r.status.startswith("failed"))
-    return acc
+        summary.actions_run = len(executor.records)
+        summary.action_failures = sum(1 for r in executor.records if r.status.startswith("failed"))
+    return summary
 
 
 def single_threaded_search(
@@ -647,13 +623,12 @@ def single_threaded_search(
     executor: Optional[ActionExecutor] = None,
     progress: Optional[Callable[[int], None]] = None,
 ) -> RunSummary:
-    """Depth-first exhaustive search with one in-progress stack.
-
-    Finalized paths are handed to ``sink`` in discovery order.  The search
-    stops when the stack drains, when ``stop_max_final_paths`` is reached or
-    when ``stop_wall_clock`` seconds have elapsed.
-    """
+    """Depth-first exhaustive search with one in-progress stack, bounded as
+    ``search_loop`` describes.  Finalized paths are handed to ``sink`` in
+    discovery order."""
     started = time.perf_counter()
-    scheduler = LocalScheduler(config, started)
-    acc = search_loop(net, config, scheduler, sink, executor, progress)
-    return acc.summary(time.perf_counter() - started, scheduler.stop_reason)
+    scheduler = LocalScheduler(started)
+    summary = search_loop(net, config, scheduler, sink, executor, progress)
+    summary.elapsed_seconds = time.perf_counter() - started
+    summary.stop_reason = scheduler.stop_reason
+    return summary

@@ -9,6 +9,7 @@ stop-condition bound.
 """
 
 import contextlib
+import io
 import os
 import random
 import time
@@ -28,7 +29,7 @@ from attackpaths.pathstore import (
     MetricVector,
     PathWriter,
     SortKey,
-    decode_path_bytes,
+    decode_path,
     encode_path,
     merge_final_and_index,
     read_worker_paths,
@@ -158,7 +159,7 @@ def test_criterion_4_binary_round_trip(tmp_path):
         rng = random.Random(1234)
         records = [random_record(rng) for _ in range(1000)]
         for record in records:
-            assert decode_path_bytes(encode_path(record)) == record
+            assert decode_path(io.BytesIO(encode_path(record))) == record
 
         subset = records[:200]
         writer = PathWriter(tmp_path, 0)

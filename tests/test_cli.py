@@ -132,6 +132,27 @@ class TestRun:
         assert rc == 1
         assert "duration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flags", [
+        ("run", ["--rule-limit", "0"]),
+        ("run", ["--max-final-paths", "0"]),
+        ("run", ["--max-final-paths", "-3"]),
+        ("run", ["--time-limit", "0"]),
+        ("run", ["--mode", "multi", "--workers", "0"]),
+        ("run", ["--mode", "multi", "--redistribution-threshold", "1"]),
+        ("compare", ["--workers", "0"]),
+    ], ids=["rule-limit", "max-final-paths-0", "max-final-paths-negative", "time-limit-0",
+            "workers-0", "redistribution-threshold-1", "compare-workers-0"])
+    def test_bad_bound_is_an_error_line(self, command, flags, fixture_model, tmp_path, capsys):
+        rc = run_cli(
+            command, "--model", fixture_model, "--start", "1", "--end", "2",
+            "--out", str(tmp_path), *flags,
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_max_final_paths(self, tmp_path, capsys):
         model = tmp_path / "layered.json"
         assert run_cli("gen", "--topology", "layered", "--width", "2", "--depth", "2",

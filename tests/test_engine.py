@@ -8,9 +8,11 @@ import pytest
 from attackpaths import engine, pathstore
 from attackpaths.engine import (
     _IDLE,
+    _STOP_REASONS,
     _WORKING,
     EngineConfig,
     EngineError,
+    SharedScheduler,
     SharedState,
     _idle_wait,
     _request_stop,
@@ -23,7 +25,13 @@ from attackpaths.filters import bind_filter, parse_filter
 from attackpaths.model import CustomProperty, Link, Network
 from attackpaths.pathstore import FINAL_PATHS_TITLE, INDEX_TITLE, worker_file
 from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
-from attackpaths.traversal import StepBudgetExceeded, StopReason, TraversalConfig
+from attackpaths.traversal import (
+    StepBudgetExceeded,
+    StopReason,
+    TraversalConfig,
+    search_loop,
+    single_threaded_search,
+)
 
 from support import action_model, canonical_worker_files as canonical_workers, random_model
 
@@ -129,22 +137,27 @@ class TestScheduler:
 
     def test_idle_wait_after_stop_returns_at_once(self):
         shared = SharedState(CTX, 2)
-        _request_stop(shared, 1)
+        _request_stop(shared, StopReason.MAX_PATHS)
+        _request_stop(shared, StopReason.TIME_LIMIT)
         thread, got = self.idle(shared, 0)
         thread.join(timeout=0.5)
         assert got == {"batch": None}
-        assert shared.stop_reason.value == 1
+        assert _STOP_REASONS[shared.stop_reason.value] is StopReason.MAX_PATHS
 
     def test_note_final_sets_stop_at_limit(self):
-        from attackpaths.engine import _note_final
-
+        # One worker of one, in this process: the shared count reaches the
+        # limit, and the run stops there with max-paths.
+        net = generate_model(SyntheticSpec("layered", width=2, depth=2))
+        start, end = start_and_end(net)
+        cfg = TraversalConfig(start=start, end=end, stop_max_final_paths=3)
         shared = SharedState(CTX, 1)
-        assert _note_final(shared, 3) == 1
-        assert _note_final(shared, 3) == 2
-        assert shared.stop.value == 0
-        assert _note_final(shared, 3) == 3
+        scheduler = SharedScheduler(shared, 0, 10, time.perf_counter())
+        summary = search_loop(net, cfg, scheduler, lambda path: None)
+        assert summary.total_final_paths == shared.finals.value == 3
         assert shared.stop.value == 1
-        assert shared.stop_reason.value == 1
+        assert _STOP_REASONS[shared.stop_reason.value] is StopReason.MAX_PATHS
+        # No max_steps, so no step was counted.
+        assert (scheduler.note_final(), scheduler.tick()) == (4, 1)
 
 
 def equivalence_cases(filter_net):
@@ -315,6 +328,45 @@ class TestStopsMulti:
         )
         assert summary.stop_reason is StopReason.TIME_LIMIT
         assert summary.total_final_paths < 256
+
+
+def stop_rule_model(name):
+    """``layered(2,2)`` or ``random_model(seed)``, with its start and end."""
+    if name == "layered":
+        net = generate_model(SyntheticSpec("layered", width=2, depth=2))
+        return net, start_and_end(net)
+    net = random_model(int(name[len("random"):]))
+    return net, (1, max(c.id for c in net.containers))
+
+
+class TestOneStopRule:
+    """``stop_max_final_paths`` means the same in every mode: the N-th path
+    stops the run with max-paths, even where the search would have ended
+    there anyway.  Each other worker may add at most one path of its own."""
+
+    @pytest.mark.parametrize("name", ["layered"] + [f"random{seed}" for seed in range(5)])
+    def test_max_paths_in_every_mode(self, name, tmp_path):
+        net, (start, end) = stop_rule_model(name)
+        total = single_threaded_search(
+            net, TraversalConfig(start=start, end=end), lambda path: None
+        ).total_final_paths
+        # N above the total (on models with 0 or 1 paths) exhausts the search.
+        for n in sorted({1, 2, total} - {0}):
+            cfg = TraversalConfig(start=start, end=end, stop_max_final_paths=n)
+            reason = StopReason.MAX_PATHS if n <= total else StopReason.EXHAUSTED
+            found = min(n, total)
+            s = single_threaded_search(net, cfg, lambda path: None)
+            _, r = run_single(net, cfg, tmp_path / f"s{n}", sort_and_merge=False)
+            for got in (s, r):
+                assert (got.stop_reason, got.total_final_paths) == (reason, found), (name, n)
+            for workers in (1, 2):
+                _, m = run_multi(
+                    net, EngineConfig(cfg, worker_count=workers, redistribution_threshold=2),
+                    tmp_path / f"m{n}-{workers}", sort_and_merge=False,
+                )
+                overshoot = workers - 1 if n <= total else 0
+                assert m.stop_reason is reason, (name, n, workers)
+                assert found <= m.total_final_paths <= found + overshoot, (name, n, workers)
 
 
 class TestFailures:

@@ -176,7 +176,7 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("doc,message", [
         ({"containers": [{"name": "x"}]}, "containers[0]: missing key 'id'"),
-        ({"containers": [{"id": "a"}]}, "containers[0]: invalid literal for int()"),
+        ({"containers": [{"id": "a"}]}, "containers[0]: expected an integer, got 'a'"),
         ({"containers": [5]}, "containers[0]: 'int' object is not subscriptable"),
         ({"containers": {"id": 1}}, "containers: expected a list"),
         ({"containers": [{"id": 1, "facts": [{"id": 2}]}]},
@@ -190,11 +190,21 @@ class TestParseErrors:
         ({"normal_rules": [{"id": 1, "preconditions": [], "actions": "12"}]},
          "normal_rules[0].actions: expected a list"),
         ({"normal_rules": [{"id": 1, "preconditions": [], "actions": [1, None]}]},
-         "normal_rules[0].actions[1]: int() argument must be"),
+         "normal_rules[0].actions[1]: expected an integer, got None"),
         ({"links": [{"id": 1, "from": 1, "to": 2, "directed": "false"}]},
          "links[0]: expected a boolean, got 'false'"),
         ({"actions": [{"id": 1, "command": "true", "enabled": 0}]},
          "actions[0]: expected a boolean, got 0"),
+        ({"containers": [{"id": 1.5}]}, "containers[0]: expected an integer, got 1.5"),
+        ({"links": [{"id": 1, "from": True, "to": 2}]}, "links[0]: expected an integer, got True"),
+        ({"containers": [{"id": 1, "facts": [{"id": 2, "value": True, "common_property": 1.0}]}]},
+         "containers[0].facts[0]: expected an integer, got 1.0"),
+        ({"generic_rules": [{"id": 1, "preconditions": [], "impacts": {"integrity": True}}]},
+         "generic_rules[0].impacts.integrity: expected a number, got True"),
+        ({"generic_rules": [{"id": 1, "preconditions": [], "impacts": {"integrity": "0.5"}}]},
+         "generic_rules[0].impacts.integrity: expected a number, got '0.5'"),
+        ({"actions": [{"id": 1, "command": [1]}]},
+         "actions[0]: command: expected a string, got [1]"),
     ])
     def test_malformed_item_names_its_place(self, doc, message):
         with pytest.raises(ModelParseError) as e:

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import struct
@@ -38,7 +39,7 @@ from attackpaths.pathstore import (
     SortKey,
     canonical_form,
     compute_metrics,
-    decode_path_bytes,
+    decode_path,
     encode_connection,
     encode_entity,
     encode_path,
@@ -141,13 +142,13 @@ class TestRoundTrip:
     @settings(max_examples=200)
     @given(path_st)
     def test_codec_identity(self, record):
-        assert decode_path_bytes(encode_path(record)) == record
+        assert decode_path(io.BytesIO(encode_path(record))) == record
 
     def test_seeded_sample(self):
         rng = random.Random(7)
         for _ in range(300):
             record = random_record(rng)
-            assert decode_path_bytes(encode_path(record)) == record
+            assert decode_path(io.BytesIO(encode_path(record))) == record
 
     def test_writer_reader_cycle(self, tmp_path):
         rng = random.Random(11)
@@ -173,29 +174,29 @@ class TestDecodeErrors:
     def test_truncated(self):
         buf = encode_path(PathRecord(1, (ConnectionRecord(2, EntityRecord(3, ((4, True),)), None, None),)))
         with pytest.raises(FormatError, match="truncated"):
-            decode_path_bytes(buf[:-1])
+            decode_path(io.BytesIO(buf[:-1]))
 
     def test_bad_value_byte(self):
         def facts(second: bytes) -> bytes:
             return path_with_entity(i32.pack(3) + i32.pack(2) + i32.pack(8) + b"\x01" + i32.pack(9) + second)
 
-        assert decode_path_bytes(facts(b"\x00")) == PathRecord(
+        assert decode_path(io.BytesIO(facts(b"\x00"))) == PathRecord(
             1, (ConnectionRecord(2, EntityRecord(3, ((8, True), (9, False))), None, None),)
         )
         with pytest.raises(FormatError, match="fact 9: value byte 2"):
-            decode_path_bytes(facts(b"\x02"))
+            decode_path(io.BytesIO(facts(b"\x02")))
 
     def test_negative_fact_count(self):
         with pytest.raises(FormatError, match="entity 3: negative fact count"):
-            decode_path_bytes(path_with_entity(i32.pack(3) + i32.pack(-2)))
+            decode_path(io.BytesIO(path_with_entity(i32.pack(3) + i32.pack(-2))))
 
     def test_negative_connection_count(self):
         with pytest.raises(FormatError, match="negative connection count"):
-            decode_path_bytes(i32.pack(1) + i32.pack(-1))
+            decode_path(io.BytesIO(i32.pack(1) + i32.pack(-1)))
 
     def test_invalid_entity_marker(self):
         with pytest.raises(FormatError, match="invalid entity marker"):
-            decode_path_bytes(path_with_entity(i32.pack(-5)))
+            decode_path(io.BytesIO(path_with_entity(i32.pack(-5))))
 
 
 class TestSortFiles:

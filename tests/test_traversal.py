@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -23,9 +24,9 @@ from attackpaths.traversal import (
     ActionMode,
     IdSource,
     LocalScheduler,
+    RunSummary,
     StepBudgetExceeded,
     StopReason,
-    SummaryAccumulator,
     TraversalConfig,
     TraversalError,
     apply_normal_postconditions,
@@ -397,10 +398,14 @@ class TestFingerprints:
 
         def every_kept_path(net):
             ids, conns = IdSource(1, 1), IdSource(0, 1)
-            budget = LocalScheduler(cfg, 0.0)
+            steps = LocalScheduler(0.0)
+
+            def step():
+                assert steps.tick() <= cfg.max_steps
+
             stack, kept = [new_seed_path(net, 0, 0.0)], []
             while stack:
-                branches, finals = expand_path(stack.pop(), net, cfg, ids, conns, budget=budget)
+                branches, finals = expand_path(stack.pop(), net, cfg, ids, conns, step=step)
                 stack.extend(branches)
                 kept += branches + finals
             return canonical_paths(kept)
@@ -480,11 +485,25 @@ class TestStops:
             run_search(net, TraversalConfig(start=start, end=end, max_steps=2))
 
     def test_step_budget_object(self):
-        b = LocalScheduler(TraversalConfig(start=1, end=2, max_steps=2), 0.0)
-        b.tick()
-        b.tick()
-        with pytest.raises(StepBudgetExceeded):
-            b.tick()
+        # The scheduler only counts; search_loop compares with max_steps.
+        b = LocalScheduler(0.0)
+        assert [b.tick() for _ in range(3)] == [1, 2, 3]
+        b.stop(StopReason.TIME_LIMIT)
+        b.stop(StopReason.MAX_PATHS)
+        assert b.stop_reason is StopReason.TIME_LIMIT
+        assert not b.keep_going([object()])
+
+    @pytest.mark.parametrize("bound", [
+        {"stop_max_final_paths": 0},
+        {"stop_max_final_paths": -3},
+        {"stop_wall_clock": 0},
+        {"stop_wall_clock": -1.0},
+        {"stop_wall_clock": float("nan")},
+        {"generic_rule_limit": 0},
+    ])
+    def test_meaningless_bounds_rejected(self, bound):
+        with pytest.raises(ValueError):
+            TraversalConfig(start=1, end=2, **bound)
 
 
 class TestActions:
@@ -550,26 +569,70 @@ class TestActions:
         assert summary.actions_run == 1
 
 
-class TestSummaryAccumulator:
+class TestRunSummaryMerge:
     def test_merge_same_length_adds_counts(self):
-        a, b = SummaryAccumulator(), SummaryAccumulator()
-        a.longest, a.shortest = (5, 2), (3, 1)
-        b.longest, b.shortest = (5, 3), (3, 4)
-        a.merge(b)
-        assert a.longest == (5, 5)
-        assert a.shortest == (3, 5)
+        a = RunSummary(longest_chain=(5, 2), shortest_chain=(3, 1))
+        a.merge(RunSummary(longest_chain=(5, 3), shortest_chain=(3, 4)))
+        assert a.longest_chain == (5, 5)
+        assert a.shortest_chain == (3, 5)
 
     def test_merge_prefers_extremes(self):
-        a, b = SummaryAccumulator(), SummaryAccumulator()
-        a.longest, a.shortest = (6, 1), (5, 9)
-        b.longest, b.shortest = (5, 9), (2, 3)
-        a.merge(b)
-        assert a.longest == (6, 1)
-        assert a.shortest == (2, 3)
+        a = RunSummary(longest_chain=(6, 1), shortest_chain=(5, 9))
+        a.merge(RunSummary(longest_chain=(5, 9), shortest_chain=(2, 3)))
+        assert a.longest_chain == (6, 1)
+        assert a.shortest_chain == (2, 3)
 
     def test_merge_with_empty(self):
-        a, b = SummaryAccumulator(), SummaryAccumulator()
-        b.longest = b.shortest = (4, 2)
-        b.finals = 2
-        a.merge(b)
-        assert (a.longest, a.shortest, a.finals) == ((4, 2), (4, 2), 2)
+        a = RunSummary()
+        a.merge(RunSummary(total_final_paths=2, longest_chain=(4, 2), shortest_chain=(4, 2)))
+        assert (a.longest_chain, a.shortest_chain, a.total_final_paths) == ((4, 2), (4, 2), 2)
+
+    def test_merge_of_halves_equals_one_pass(self):
+        net = generate_model(SyntheticSpec("layered", width=3, depth=3))
+        start, end = start_and_end(net)
+        finals, whole = run_search(net, TraversalConfig(start=start, end=end))
+        halves = RunSummary(), RunSummary()
+        for i, f in enumerate(finals):
+            halves[i % 2].add(f)
+        halves[0].merge(halves[1])
+        halves[0].elapsed_seconds = whole.elapsed_seconds
+        assert halves[0] == whole
+
+
+FULL_SUMMARY = RunSummary(
+    total_final_paths=5,
+    total_connections=20,
+    total_rules_triggered=17,
+    longest_chain=(6, 2),
+    shortest_chain=(2, 1),
+    elapsed_seconds=1.25,
+    sort_merge_seconds=0.5,
+    stop_reason=StopReason.TIME_LIMIT,
+    actions_run=3,
+    action_failures=1,
+)
+
+
+class TestRunSummaryDict:
+    def test_round_trip_with_every_field_set(self):
+        assert all(v != getattr(RunSummary(), k) for k, v in vars(FULL_SUMMARY).items())
+        assert RunSummary.from_dict(FULL_SUMMARY.to_dict()) == FULL_SUMMARY
+        text = json.dumps(FULL_SUMMARY.to_dict())
+        assert json.loads(text)["longest_chain"] == [6, 2]
+        assert json.loads(text)["stop_reason"] == "time-limit"
+        assert RunSummary.from_dict(json.loads(text)) == FULL_SUMMARY
+
+    def test_key_order_is_field_order(self):
+        assert list(FULL_SUMMARY.to_dict()) == [
+            "total_final_paths", "total_connections", "total_rules_triggered",
+            "longest_chain", "shortest_chain", "elapsed_seconds", "sort_merge_seconds",
+            "stop_reason", "actions_run", "action_failures",
+        ]
+
+    @pytest.mark.parametrize("key", list(FULL_SUMMARY.to_dict()))
+    def test_missing_key_takes_the_default(self, key):
+        d = FULL_SUMMARY.to_dict()
+        del d[key]
+        loaded = RunSummary.from_dict(d)
+        assert getattr(loaded, key) == getattr(RunSummary(), key)
+        assert {k: v for k, v in loaded.to_dict().items() if k != key} == d
