@@ -9,7 +9,6 @@ must agree exactly.
 import tempfile
 import time
 from collections import Counter
-from pathlib import Path
 
 from attackpaths import (
     EngineConfig,
@@ -18,7 +17,7 @@ from attackpaths import (
     generate_model,
     run_multi,
 )
-from attackpaths.pathstore import canonical_form, path_to_record, read_worker_paths
+from attackpaths.pathstore import canonical_form, path_to_record
 from attackpaths.synth import start_and_end
 from attackpaths.traversal import single_threaded_search
 
@@ -40,15 +39,9 @@ print(f"single worker: {single_summary.total_final_paths} paths "
 for workers in (2, 4):
     with tempfile.TemporaryDirectory() as tmp:
         t0 = time.perf_counter()
-        _, summary = run_multi(
-            net, EngineConfig(config, worker_count=workers), tmp,
-            sort_and_merge=False)
+        store, summary = run_multi(net, EngineConfig(config, worker_count=workers), tmp)
         elapsed = time.perf_counter() - t0
-
-        found: Counter = Counter()
-        for w in range(workers):
-            for record in read_worker_paths(Path(tmp), w):
-                found.update([canonical_form(record)])
+        found = Counter(map(canonical_form, store.iter_paths()))
 
     same = "identical" if found == reference else "DIFFERENT"
     print(f"{workers} workers:     {summary.total_final_paths} paths "

@@ -1,9 +1,9 @@
 """Command-line harness.
 
 Subcommands: ``run`` (traverse a model and persist results), ``query`` (top-k
-paths from a finished run), ``gen`` (synthetic benchmark models), ``compare``
-(single vs multi-worker timing and path-set equality), ``validate`` and
-``export-dot``.
+paths from a finished run: a directory with a ``summary``), ``gen`` (synthetic
+benchmark models), ``compare`` (single vs multi-worker timing and path-set
+equality, leaving two finished runs), ``validate`` and ``export-dot``.
 
 The output directory defaults to the ``SONARR_OUT`` environment variable when
 ``--out`` is not given.
@@ -33,7 +33,7 @@ from .model import (
     read_model_text,
     validate_network,
 )
-from .pathstore import MergedStore, SortKey
+from .pathstore import MergedStore, SortKey, canonical_form
 from .traversal import ActionExecutor, ActionMode, TraversalConfig
 
 _SORT_KEYS = {key.title.lower().replace(" ", "-"): key for key in SortKey}
@@ -111,7 +111,7 @@ def _traversal_config(args, net: Network) -> TraversalConfig:
             generic_rule_limit=args.rule_limit,
             completion_filter=completion,
             stop_max_final_paths=args.max_final_paths,
-            stop_wall_clock=parse_duration(args.time_limit) if args.time_limit else None,
+            stop_wall_clock=None if args.time_limit is None else parse_duration(args.time_limit),
         )
     except ValueError as e:
         raise CliError(str(e)) from None
@@ -158,7 +158,7 @@ def cmd_run(args) -> int:
 def cmd_query(args) -> int:
     out_dir = _resolve_out(args)
     store = MergedStore(out_dir)
-    if not pathstore.merged_file(out_dir, pathstore.FINAL_PATHS_TITLE).exists():
+    if not pathstore.merged_file(out_dir, pathstore.SUMMARY_TITLE).exists():
         raise CliError(f"no merged run found in {out_dir}")
     if args.k < 0:
         raise CliError(f"-k must be 0 or more, got {args.k}")
@@ -199,16 +199,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _canonical_worker_paths(out_dir, workers: int) -> Counter:
-    counts: Counter = Counter()
-    for w in range(workers):
-        if not pathstore.worker_file(out_dir, pathstore.FINAL_PATHS_TITLE, w).exists():
-            continue
-        for record in pathstore.read_worker_paths(out_dir, w):
-            counts[pathstore.canonical_form(record)] += 1
-    return counts
-
-
 def cmd_compare(args) -> int:
     net = _load_model(args)
     tcfg = _traversal_config(args, net)
@@ -217,13 +207,11 @@ def cmd_compare(args) -> int:
     multi_dir = Path(out_dir) / "multi"
 
     ecfg = _engine_config(args, tcfg)
-    _, s_summary = engine.run_single(net, tcfg, single_dir, sort_and_merge=False)
-    _, m_summary = engine.run_multi(net, ecfg, multi_dir, sort_and_merge=False)
+    s_store, s_summary = engine.run_single(net, tcfg, single_dir)
+    m_store, m_summary = engine.run_multi(net, ecfg, multi_dir)
     workers = ecfg.resolved_workers()
-
-    single_set = _canonical_worker_paths(single_dir, 1)
-    multi_set = _canonical_worker_paths(multi_dir, workers)
-    match = single_set == multi_set
+    single, multi = (Counter(map(canonical_form, s.iter_paths())) for s in (s_store, m_store))
+    match = single == multi
 
     print(f"single: {s_summary.total_final_paths} paths in {s_summary.elapsed_seconds:.3f} s")
     print(

@@ -16,9 +16,10 @@ receiver stays working until it has taken the batch: "every worker idle"
 already means "no transfer in flight".  The workers share the status table,
 so no termination token has to travel between them.
 
-Each worker appends its finalized paths to its own file set and then writes
-its sort files.  The calling process merges the final-path and index files
-and writes the run summary.
+A run clears its directory first and again if it fails
+(``pathstore.clear_run``).  Each worker appends its finalized paths to its
+own file set and then writes its sort files.  The calling process merges
+the final-path and index files and commits the run by writing its summary.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def _print_progress(count: int) -> None:
 
 def _search_to_files(
     net: Network, config: TraversalConfig, scheduler, out_dir, executor: ActionExecutor,
-    sort_and_merge: bool, progress: bool,
+    progress: bool,
 ) -> tuple[RunSummary, float, float]:
     """Run one worker's search into its path files, then write its sort files.
     Returns its summary and the times its search and its sort ended."""
@@ -197,8 +198,7 @@ def _search_to_files(
     finally:
         writer.close()
     done_at = time.perf_counter()
-    if sort_and_merge:
-        pathstore.write_all_sort_files(out_dir, scheduler.worker, metrics)
+    pathstore.write_all_sort_files(out_dir, scheduler.worker, metrics)
     return summary, done_at, time.perf_counter()
 
 
@@ -209,7 +209,6 @@ def _worker_main(
     out_dir: str,
     shared: SharedState,
     started: float,
-    sort_and_merge: bool,
     progress: bool,
 ) -> None:
     result = error = None
@@ -217,7 +216,7 @@ def _worker_main(
         result = _search_to_files(
             net, config.traversal,
             SharedScheduler(shared, worker, config.redistribution_threshold, started), out_dir,
-            ActionExecutor(config.action_mode), sort_and_merge, progress,
+            ActionExecutor(config.action_mode), progress,
         )
     except BaseException:
         error = traceback.format_exc()
@@ -250,48 +249,39 @@ def _idle_wait(shared: SharedState, worker: int):
     return None
 
 
-def _cleanup_worker_files(out_dir, workers: int) -> None:
-    titles = [pathstore.FINAL_PATHS_TITLE, pathstore.INDEX_TITLE] + [k.title for k in pathstore.SortKey]
-    for w in range(workers):
-        for title in titles:
-            pathstore.worker_file(out_dir, title, w).unlink(missing_ok=True)
-
-
 def _prepare_out_dir(out_dir) -> Path:
+    """Create a writable directory, cleared of every file of an earlier run."""
     p = Path(out_dir)
     try:
         p.mkdir(parents=True, exist_ok=True)
         probe = p / ".write-probe"
         probe.write_bytes(b"")
         probe.unlink()
+        pathstore.clear_run(p)
     except OSError as e:
         raise EngineError(f"output directory {p} is not writable: {e}") from None
     return p
 
 
 def _finish_run(
-    out_path: Path, workers: int, summary: RunSummary, sort_and_merge: bool,
-) -> tuple[Optional[MergedStore], RunSummary]:
-    """Merge the workers' files, when asked to, and write the run summary."""
-    store = None
-    if sort_and_merge:
-        merge_start = time.perf_counter()
-        pathstore.merge_final_and_index(out_path, list(range(workers)))
-        summary.sort_merge_seconds += time.perf_counter() - merge_start
-        store = MergedStore(out_path)
+    out_path: Path, workers: int, summary: RunSummary,
+) -> tuple[MergedStore, RunSummary]:
+    """Merge the workers' files, then commit the run by writing its summary."""
+    merge_start = time.perf_counter()
+    pathstore.merge_final_and_index(out_path, list(range(workers)))
+    summary.sort_merge_seconds += time.perf_counter() - merge_start
     pathstore.write_run_summary(out_path, summary)
-    return store, summary
+    return MergedStore(out_path), summary
 
 
 def run_multi(
     net: Network,
     config: EngineConfig,
     out_dir,
-    sort_and_merge: bool = True,
     progress: bool = False,
-) -> tuple[Optional[MergedStore], RunSummary]:
-    """Run the multi-worker search, returning the merged store (None when
-    merging is disabled) and the aggregated run summary."""
+) -> tuple[MergedStore, RunSummary]:
+    """Run the multi-worker search, returning the merged store and the
+    aggregated run summary."""
     out_path = _prepare_out_dir(out_dir)
     workers = config.resolved_workers()
     ctx = multiprocessing.get_context("fork")
@@ -303,7 +293,7 @@ def run_multi(
         procs.append(
             ctx.Process(
                 target=_worker_main,
-                args=(w, net, config, str(out_path), shared, started, sort_and_merge, progress),
+                args=(w, net, config, str(out_path), shared, started, progress),
             )
         )
     for p in procs:
@@ -341,7 +331,7 @@ def run_multi(
     if failure is None and any(p.exitcode != 0 for p in procs):
         failure = f"worker exit codes {[p.exitcode for p in procs]}"
     if failure is not None:
-        _cleanup_worker_files(out_path, workers)
+        pathstore.clear_run(out_path)
         raise EngineError(f"run failed: {failure}")
 
     parts, searches_done, sorts_done = zip(*(m["result"] for m in messages))
@@ -352,17 +342,16 @@ def run_multi(
     summary.elapsed_seconds = done_at - started
     summary.sort_merge_seconds = sort_done_at - done_at
     summary.stop_reason = _STOP_REASONS[shared.stop_reason.value]
-    return _finish_run(out_path, workers, summary, sort_and_merge)
+    return _finish_run(out_path, workers, summary)
 
 
 def run_single(
     net: Network,
     config: TraversalConfig,
     out_dir,
-    sort_and_merge: bool = True,
     executor: Optional[ActionExecutor] = None,
     progress: bool = False,
-) -> tuple[Optional[MergedStore], RunSummary]:
+) -> tuple[MergedStore, RunSummary]:
     """Run the search in this process as worker 0 of 1, writing what a
     one-worker ``run_multi`` writes; with no ``executor``, actions run dry."""
     out_path = _prepare_out_dir(out_dir)
@@ -372,12 +361,12 @@ def run_single(
         executor = ActionExecutor()
     try:
         summary, done_at, sort_done_at = _search_to_files(
-            net, config, scheduler, out_path, executor, sort_and_merge, progress
+            net, config, scheduler, out_path, executor, progress
         )
     except BaseException:
-        _cleanup_worker_files(out_path, 1)
+        pathstore.clear_run(out_path)
         raise
     summary.elapsed_seconds = done_at - started
     summary.sort_merge_seconds = sort_done_at - done_at
     summary.stop_reason = scheduler.stop_reason
-    return _finish_run(out_path, 1, summary, sort_and_merge)
+    return _finish_run(out_path, 1, summary)

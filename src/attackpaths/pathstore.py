@@ -27,6 +27,10 @@ offsets, and builds each merged sort file lazily: the per-worker streams are
 k-way merged on highest value and only the offset-adjusted int64 position is
 written.  Every merged file is written to ``<title>.partial``, which is
 renamed onto ``<title>`` only once complete.
+
+``RUN_TITLES`` names every file of a run, which ``clear_run`` deletes when a
+run starts or fails.  ``summary`` is written last, so a directory holds a
+complete run exactly when it holds a ``summary``.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from itertools import islice, starmap
 from pathlib import Path
 from typing import BinaryIO, Iterator, Optional
 
-from .model import Network
+from .model import Network, traversal_chance
 from .traversal import RunSummary, TraversalPath
 
 _I32 = struct.Struct("<i")
@@ -87,6 +91,11 @@ class SortKey(Enum):
 INT_SORT_RECORD_SIZE = SortKey.ID.record.size
 DOUBLE_SORT_RECORD_SIZE = SortKey.AVAILABILITY.record.size
 
+# Every file a run writes, merged or per worker, has one of these titles.
+RUN_TITLES = (
+    SUMMARY_TITLE, FINAL_PATHS_TITLE, INDEX_TITLE, OFFSETS_TITLE, *(key.title for key in SortKey)
+)
+
 
 def worker_file(directory, title: str, worker: int) -> Path:
     return Path(directory) / f"{title}-{worker}.tmp"
@@ -94,6 +103,17 @@ def worker_file(directory, title: str, worker: int) -> Path:
 
 def merged_file(directory, title: str) -> Path:
     return Path(directory) / title
+
+
+def clear_run(directory) -> None:
+    """Delete every file a run writes, ``summary`` first: the merged files,
+    their ``.partial`` files and the worker files of any worker count."""
+    directory = Path(directory)
+    for title in RUN_TITLES:
+        merged_file(directory, title).unlink(missing_ok=True)
+        merged_file(directory, f"{title}.partial").unlink(missing_ok=True)
+        for stale in directory.glob(f"{title}-[0-9]*.tmp"):
+            stale.unlink()
 
 
 @dataclass(frozen=True)
@@ -130,14 +150,9 @@ def compute_metrics(path: TraversalPath, net: Network) -> MetricVector:
         for cp in link.custom_properties:
             if cp.key == "traversal_chance":
                 try:
-                    p = float(cp.value)
-                except ValueError:
-                    raise MetricsError(
-                        f"link {link.id}: traversal_chance {cp.value!r} is not a number"
-                    ) from None
-                if not (0.0 <= p <= 1.0):
-                    raise MetricsError(f"link {link.id}: traversal_chance {p} outside [0, 1]")
-                chance *= p
+                    chance *= traversal_chance(link.id, cp.value)
+                except ValueError as e:
+                    raise MetricsError(str(e)) from None
 
     remaining = {"availability": 1.0, "confidentiality": 1.0, "integrity": 1.0}
     for conn in path.connections:
@@ -315,11 +330,8 @@ class PathWriter:
     one writer may ever touch a file."""
 
     def __init__(self, directory, worker: int):
-        self.directory = Path(directory)
-        self.worker = worker
         self.paths_file = open(worker_file(directory, FINAL_PATHS_TITLE, worker), "wb")
         self.index_file = open(worker_file(directory, INDEX_TITLE, worker), "wb")
-        self.count = 0
 
     def append(self, path: TraversalPath) -> int:
         return self.append_record(path_to_record(path))
@@ -328,7 +340,6 @@ class PathWriter:
         pos = self.paths_file.tell()
         self.index_file.write(_I64.pack(pos))
         self.paths_file.write(encode_path(record))
-        self.count += 1
         return pos
 
     def close(self):
@@ -368,12 +379,6 @@ def _read_paths(finals: Path, index: Path) -> Iterator[PathRecord]:
             yield record
         if fh.read(1):
             raise FormatError(f"{finals.name}: data after the last of {count} indexed records")
-
-
-def read_worker_paths(directory, worker: int) -> Iterator[PathRecord]:
-    return _read_paths(
-        worker_file(directory, FINAL_PATHS_TITLE, worker), worker_file(directory, INDEX_TITLE, worker)
-    )
 
 
 def write_sort_file(directory, worker: int, key: SortKey, rows: list[tuple[object, int]]) -> Path:
@@ -419,14 +424,14 @@ def merge_final_and_index(directory, workers: list[int]) -> list[int]:
     index with per-worker byte offsets applied.  Returns the offset table
     (also persisted to the ``Offsets`` file for later invocations)."""
     directory = Path(directory)
-    # Every merged file of an earlier merge goes first: merged sort files
-    # hold positions into the previous ``Final paths``, and the lazy merge
-    # would rebuild them from the previous ``Offsets``.  A merge that fails
-    # part way then leaves a visibly incomplete directory.
-    titles = [FINAL_PATHS_TITLE, INDEX_TITLE, OFFSETS_TITLE]
-    for title in titles + [key.title for key in SortKey]:
+    # Every merged file of an earlier merge goes first, ``summary`` first of
+    # all: merged sort files hold positions into the previous ``Final paths``,
+    # and the lazy merge would rebuild them from the previous ``Offsets``.  A
+    # merge that fails part way then leaves a visibly incomplete directory.
+    for title in RUN_TITLES:
         merged_file(directory, title).unlink(missing_ok=True)
     offsets: list[int] = []
+    titles = (FINAL_PATHS_TITLE, INDEX_TITLE, OFFSETS_TITLE)
     with _written_in_place_of(*(merged_file(directory, t) for t in titles)) as (
         paths_partial, index_partial, offsets_partial,
     ):
@@ -531,13 +536,10 @@ class MergedStore:
 
 
 def write_run_summary(directory, summary: RunSummary) -> Path:
+    """Write ``summary`` whole, through its ``.partial`` file.  It is the last
+    file a run writes, and marks the run complete."""
     target = merged_file(directory, SUMMARY_TITLE)
-    with open(target, "w", encoding="utf-8") as fh:
+    with _written_in_place_of(target) as (partial,), open(partial, "w", encoding="utf-8") as fh:
         json.dump(summary.to_dict(), fh, indent=2)
         fh.write("\n")
     return target
-
-
-def read_run_summary(directory) -> RunSummary:
-    with open(merged_file(directory, SUMMARY_TITLE), "r", encoding="utf-8") as fh:
-        return RunSummary.from_dict(json.load(fh))

@@ -120,6 +120,8 @@ class TraversalConfig:
             raise ValueError("stop_max_final_paths must be at least 1")
         if self.stop_wall_clock is not None and not self.stop_wall_clock > 0:
             raise ValueError("stop_wall_clock must be a positive number of seconds")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 class Variant:

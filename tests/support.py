@@ -212,12 +212,9 @@ def canonical_paths(paths) -> Counter:
     return canonical_counter(pathstore.path_to_record(p) for p in paths)
 
 
-def canonical_worker_files(out_dir, workers: int) -> Counter:
-    records = []
-    for w in range(workers):
-        if pathstore.worker_file(out_dir, pathstore.FINAL_PATHS_TITLE, w).exists():
-            records.extend(pathstore.read_worker_paths(out_dir, w))
-    return canonical_counter(records)
+def canonical_run(out_dir) -> Counter:
+    """Canonical multiset of the paths a finished run stored in ``out_dir``."""
+    return canonical_counter(pathstore.MergedStore(out_dir).iter_paths())
 
 
 def random_record(rng: random.Random) -> pathstore.PathRecord:
@@ -248,8 +245,8 @@ def random_record(rng: random.Random) -> pathstore.PathRecord:
 
 
 def layered_run(out_dir, workers: int = 1):
-    """Run ``layered(3, 3)`` (27 paths) into ``out_dir``, sorted and merged:
-    in this process, or in ``workers`` worker processes."""
+    """Run ``layered(3, 3)`` (27 paths) into ``out_dir``: in this process, or
+    in ``workers`` worker processes."""
     net = generate_model(SyntheticSpec("layered", width=3, depth=3))
     start, end = start_and_end(net)
     config = TraversalConfig(start=start, end=end)

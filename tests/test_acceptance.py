@@ -32,7 +32,6 @@ from attackpaths.pathstore import (
     decode_path,
     encode_path,
     merge_final_and_index,
-    read_worker_paths,
     worker_file,
     write_all_sort_files,
 )
@@ -45,7 +44,7 @@ from attackpaths.traversal import (
 
 from support import (
     canonical_paths,
-    canonical_worker_files,
+    canonical_run,
     random_model,
     random_record,
 )
@@ -115,9 +114,8 @@ def test_criterion_2_worker_count_independence(tmp_path):
                     net,
                     EngineConfig(cfg, worker_count=workers, redistribution_threshold=4),
                     out,
-                    sort_and_merge=False,
                 )
-                got = canonical_worker_files(out, workers)
+                got = canonical_run(out)
                 assert got == reference, f"seed {seed}, {workers} workers"
         elapsed = time.perf_counter() - t0
         assert elapsed < 300.0, f"took {elapsed:.0f}s"
@@ -169,7 +167,8 @@ def test_criterion_4_binary_round_trip(tmp_path):
         assert positions == [sum(sizes[:i]) for i in range(len(subset))]
         index = worker_file(tmp_path, pathstore.INDEX_TITLE, 0)
         assert index.stat().st_size == len(subset) * 8
-        assert list(read_worker_paths(tmp_path, 0)) == subset
+        merge_final_and_index(tmp_path, [0])
+        assert list(MergedStore(tmp_path).iter_paths()) == subset
         info["note"] = "1000 records, 200-entry index"
 
 
@@ -270,10 +269,9 @@ def test_criterion_7_parallel_speedup(tmp_path):
         start, end = start_and_end(net)
         cfg = TraversalConfig(start=start, end=end)
 
-        _, s = run_single(net, cfg, tmp_path / "single", sort_and_merge=False)
+        _, s = run_single(net, cfg, tmp_path / "single")
         _, m = run_multi(
             net, EngineConfig(cfg, worker_count=workers), tmp_path / "multi",
-            sort_and_merge=False,
         )
         assert s.total_final_paths == m.total_final_paths
         ratio = m.elapsed_seconds / s.elapsed_seconds
@@ -300,13 +298,12 @@ def test_criterion_8_max_paths_bound(tmp_path):
         k, workers = 20, 3
         cfg = TraversalConfig(start=start, end=end, stop_max_final_paths=k)
 
-        _, s = run_single(net, cfg, tmp_path / "single", sort_and_merge=False)
+        _, s = run_single(net, cfg, tmp_path / "single")
         assert s.total_final_paths == k
         assert s.stop_reason is StopReason.MAX_PATHS
 
         _, m = run_multi(
             net, EngineConfig(cfg, worker_count=workers), tmp_path / "multi",
-            sort_and_merge=False,
         )
         assert m.stop_reason is StopReason.MAX_PATHS
         assert k <= m.total_final_paths <= k + workers

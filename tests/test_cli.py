@@ -1,11 +1,27 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
+from attackpaths import engine, pathstore
 from attackpaths.cli import _SORT_KEYS, CliError, main, parse_duration
-from attackpaths.pathstore import FINAL_PATHS_TITLE, SortKey, merged_file, worker_file
+from attackpaths.engine import run_single
+from attackpaths.pathstore import (
+    FINAL_PATHS_TITLE,
+    INDEX_TITLE,
+    OFFSETS_TITLE,
+    SUMMARY_TITLE,
+    SortKey,
+    merged_file,
+    worker_file,
+)
+from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
+from attackpaths.traversal import TraversalConfig
 
 from support import layered_run
+
+CTX = multiprocessing.get_context("fork")
 
 
 def run_cli(*argv):
@@ -137,11 +153,12 @@ class TestRun:
         ("run", ["--max-final-paths", "0"]),
         ("run", ["--max-final-paths", "-3"]),
         ("run", ["--time-limit", "0"]),
+        ("run", ["--time-limit", ""]),
         ("run", ["--mode", "multi", "--workers", "0"]),
         ("run", ["--mode", "multi", "--redistribution-threshold", "1"]),
         ("compare", ["--workers", "0"]),
     ], ids=["rule-limit", "max-final-paths-0", "max-final-paths-negative", "time-limit-0",
-            "workers-0", "redistribution-threshold-1", "compare-workers-0"])
+            "time-limit-empty", "workers-0", "redistribution-threshold-1", "compare-workers-0"])
     def test_bad_bound_is_an_error_line(self, command, flags, fixture_model, tmp_path, capsys):
         rc = run_cli(
             command, "--model", fixture_model, "--start", "1", "--end", "2",
@@ -281,6 +298,23 @@ class TestGenValidateDot:
         assert len(err) == 1
         assert f"{bad}: not UTF-8 text" in err[0]
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_traversal_chance_is_refused(self, command, tmp_path, capsys):
+        model = tmp_path / "chain.json"
+        assert run_cli("gen", "--topology", "chain", "--n", "3", "--out-file", str(model)) == 0
+        doc = json.loads(model.read_text())
+        doc["links"][0]["custom_properties"] = [{"key": "traversal_chance", "value": "abc"}]
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        extra = ["--start", "1", "--end", "3", "--out", str(out_dir)] if command == "run" else []
+        rc = run_cli(command, "--model", str(model), *extra)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "link 1: traversal_chance 'abc' is not a number" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_export_dot(self, fixture_model, capsys):
         rc = run_cli("export-dot", "--model", fixture_model)
         out = capsys.readouterr().out
@@ -299,3 +333,52 @@ class TestCompare:
         assert rc == 0
         assert "PASS: identical" in out
         assert "single: 1 paths" in out
+        for mode in ("single", "multi"):
+            assert run_cli("query", "--out", str(tmp_path / mode), "--key", "availability") == 0, mode
+
+
+def crash_during_search(out_dir):
+    """Run ``layered(2, 2)`` into ``out_dir``; the process dies at the third
+    final path."""
+    net = generate_model(SyntheticSpec("layered", width=2, depth=2, seed=5))
+    start, end = start_and_end(net)
+    real, finals = engine.compute_metrics, []
+
+    def crash(path, net):
+        finals.append(path)
+        if len(finals) == 3:
+            os._exit(9)
+        return real(path, net)
+
+    engine.compute_metrics = crash
+    run_single(net, TraversalConfig(start=start, end=end), out_dir)
+
+
+def crash_as_merge_starts(out_dir):
+    """Run ``complete(5)`` into ``out_dir``; the process dies as the merge starts."""
+    net = generate_model(SyntheticSpec("complete", n=5, template="no_revisit"))
+    start, end = start_and_end(net)
+    pathstore.merge_final_and_index = lambda directory, workers: os._exit(9)
+    run_single(net, TraversalConfig(start=start, end=end), out_dir)
+
+
+class TestRunDirectory:
+    """A directory holds a finished run exactly when it holds a summary."""
+
+    @pytest.mark.parametrize("crash", [crash_during_search, crash_as_merge_starts],
+                             ids=["search", "merge"])
+    def test_crashed_run_is_not_queryable(self, crash, tmp_path, capsys):
+        layered_run(tmp_path)
+        assert run_cli("query", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        # A forked child crashes part way through a second run into the
+        # same directory.
+        child = CTX.Process(target=crash, args=(tmp_path,))
+        child.start()
+        child.join(timeout=30)
+        assert child.exitcode == 9
+        for key in ("availability", "traversability-chance", "id"):
+            assert run_cli("query", "--out", str(tmp_path), "--key", key) == 1, key
+            assert capsys.readouterr().err == f"error: no merged run found in {tmp_path}\n"
+        for title in (SUMMARY_TITLE, FINAL_PATHS_TITLE, INDEX_TITLE, OFFSETS_TITLE):
+            assert not merged_file(tmp_path, title).exists(), title

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import threading
@@ -26,6 +27,7 @@ from attackpaths.model import CustomProperty, Link, Network
 from attackpaths.pathstore import FINAL_PATHS_TITLE, INDEX_TITLE, worker_file
 from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
 from attackpaths.traversal import (
+    RunSummary,
     StepBudgetExceeded,
     StopReason,
     TraversalConfig,
@@ -33,7 +35,7 @@ from attackpaths.traversal import (
     single_threaded_search,
 )
 
-from support import action_model, canonical_worker_files as canonical_workers, random_model
+from support import action_model, canonical_run, layered_run, random_model
 
 CTX = multiprocessing.get_context("fork")
 
@@ -204,41 +206,39 @@ class TestMultiWorker:
             start=1, end=2,
             completion_filter=bind_filter(parse_filter("F4:T or F5:T"), filter_net, 2),
         )
-        run_single(filter_net, cfg, tmp_path / "s", sort_and_merge=False)
+        run_single(filter_net, cfg, tmp_path / "s")
         run_multi(
             filter_net, EngineConfig(cfg, worker_count=3), tmp_path / "m",
-            sort_and_merge=False,
         )
-        assert canonical_workers(tmp_path / "s", 1) == canonical_workers(tmp_path / "m", 3)
+        assert canonical_run(tmp_path / "s") == canonical_run(tmp_path / "m")
 
     def test_matches_single_on_layered(self, tmp_path):
         net = generate_model(SyntheticSpec("layered", width=3, depth=3))
         start, end = start_and_end(net)
         cfg = TraversalConfig(start=start, end=end)
-        _, s1 = run_single(net, cfg, tmp_path / "s", sort_and_merge=False)
+        _, s1 = run_single(net, cfg, tmp_path / "s")
         _, s2 = run_multi(
-            net, EngineConfig(cfg, worker_count=3), tmp_path / "m", sort_and_merge=False
+            net, EngineConfig(cfg, worker_count=3), tmp_path / "m"
         )
         assert s1.total_final_paths == s2.total_final_paths == 27
         assert s1.total_connections == s2.total_connections
         assert s1.total_rules_triggered == s2.total_rules_triggered
         assert s1.longest_chain == s2.longest_chain
         assert s1.shortest_chain == s2.shortest_chain
-        assert canonical_workers(tmp_path / "s", 1) == canonical_workers(tmp_path / "m", 3)
+        assert canonical_run(tmp_path / "s") == canonical_run(tmp_path / "m")
 
     def test_low_threshold_forces_transfers(self, tmp_path):
         net = generate_model(SyntheticSpec("layered", width=3, depth=3))
         start, end = start_and_end(net)
         cfg = TraversalConfig(start=start, end=end)
-        run_single(net, cfg, tmp_path / "s", sort_and_merge=False)
+        run_single(net, cfg, tmp_path / "s")
         run_multi(
             net,
             EngineConfig(cfg, worker_count=3, redistribution_threshold=2),
             tmp_path / "m",
-            sort_and_merge=False,
         )
-        m = canonical_workers(tmp_path / "m", 3)
-        assert canonical_workers(tmp_path / "s", 1) == m
+        m = canonical_run(tmp_path / "m")
+        assert canonical_run(tmp_path / "s") == m
         assert sum(m.values()) == 27
 
     def test_random_models_match_single(self, tmp_path):
@@ -248,14 +248,13 @@ class TestMultiWorker:
             cfg = TraversalConfig(start=1, end=last)
             sdir = tmp_path / f"s{seed}"
             mdir = tmp_path / f"m{seed}"
-            run_single(net, cfg, sdir, sort_and_merge=False)
+            run_single(net, cfg, sdir)
             run_multi(
                 net,
                 EngineConfig(cfg, worker_count=2, redistribution_threshold=4),
                 mdir,
-                sort_and_merge=False,
             )
-            assert canonical_workers(sdir, 1) == canonical_workers(mdir, 2), f"seed {seed}"
+            assert canonical_run(sdir) == canonical_run(mdir), f"seed {seed}"
 
     def test_four_workers_with_tiny_batches_lose_no_work(self, tmp_path):
         # Four workers handing batches of two back and forth: a lost batch
@@ -263,15 +262,21 @@ class TestMultiWorker:
         net = generate_model(SyntheticSpec("complete", n=6, template="no_revisit"))
         start, end = start_and_end(net)
         cfg = TraversalConfig(start=start, end=end)
-        run_single(net, cfg, tmp_path / "s", sort_and_merge=False)
-        expected = canonical_workers(tmp_path / "s", 1)
+        run_single(net, cfg, tmp_path / "s")
+        expected = canonical_run(tmp_path / "s")
         for attempt in range(20):
             out = tmp_path / f"m{attempt}"
             run_multi(
                 net, EngineConfig(cfg, worker_count=4, redistribution_threshold=2), out,
-                sort_and_merge=False,
             )
-            assert canonical_workers(out, 4) == expected, attempt
+            assert canonical_run(out) == expected, attempt
+
+    def test_fewer_workers_leave_no_stale_worker_files(self, tmp_path):
+        layered_run(tmp_path, workers=3)
+        assert len(list(tmp_path.glob("*-2.tmp"))) == 8
+        store, _ = layered_run(tmp_path, workers=2)
+        assert list(tmp_path.glob("*-2.tmp")) == []
+        assert store.count == 27
 
     def test_merged_store_counts(self, tmp_path):
         net = generate_model(SyntheticSpec("layered", width=2, depth=3))
@@ -289,7 +294,8 @@ class TestMultiWorker:
         values = store.metric_values(pathstore.SortKey.TRAVERSABILITY_CHANCE)
         seq = [values[pos] for pos in order]
         assert seq == sorted(seq, reverse=True)
-        assert pathstore.read_run_summary(tmp_path) == summary
+        text = pathstore.merged_file(tmp_path, pathstore.SUMMARY_TITLE).read_text()
+        assert RunSummary.from_dict(json.loads(text)) == summary
 
 
 class TestStopsMulti:
@@ -299,7 +305,7 @@ class TestStopsMulti:
         workers = 3
         cfg = TraversalConfig(start=start, end=end, stop_max_final_paths=10)
         _, summary = run_multi(
-            net, EngineConfig(cfg, worker_count=workers), tmp_path, sort_and_merge=False
+            net, EngineConfig(cfg, worker_count=workers), tmp_path
         )
         assert summary.stop_reason is StopReason.MAX_PATHS
         assert 10 <= summary.total_final_paths <= 10 + workers
@@ -324,7 +330,7 @@ class TestStopsMulti:
         start, end = start_and_end(net)
         cfg = TraversalConfig(start=start, end=end, stop_wall_clock=1e-6)
         _, summary = run_multi(
-            net, EngineConfig(cfg, worker_count=2), tmp_path, sort_and_merge=False
+            net, EngineConfig(cfg, worker_count=2), tmp_path
         )
         assert summary.stop_reason is StopReason.TIME_LIMIT
         assert summary.total_final_paths < 256
@@ -356,13 +362,13 @@ class TestOneStopRule:
             reason = StopReason.MAX_PATHS if n <= total else StopReason.EXHAUSTED
             found = min(n, total)
             s = single_threaded_search(net, cfg, lambda path: None)
-            _, r = run_single(net, cfg, tmp_path / f"s{n}", sort_and_merge=False)
+            _, r = run_single(net, cfg, tmp_path / f"s{n}")
             for got in (s, r):
                 assert (got.stop_reason, got.total_final_paths) == (reason, found), (name, n)
             for workers in (1, 2):
                 _, m = run_multi(
                     net, EngineConfig(cfg, worker_count=workers, redistribution_threshold=2),
-                    tmp_path / f"m{n}-{workers}", sort_and_merge=False,
+                    tmp_path / f"m{n}-{workers}",
                 )
                 overshoot = workers - 1 if n <= total else 0
                 assert m.stop_reason is reason, (name, n, workers)

@@ -333,6 +333,21 @@ class TestValidation:
         )
         assert any("availability impact 1.5 outside [0, 1]" in v for v in validate_network(net))
 
+    @pytest.mark.parametrize("value,violations", [
+        ("0", []),
+        ("1", []),
+        (" 0.5 ", []),
+        ("abc", ["link 1: traversal_chance 'abc' is not a number"]),
+        ("", ["link 1: traversal_chance '' is not a number"]),
+        ("1.5", ["link 1: traversal_chance 1.5 outside [0, 1]"]),
+        ("-0.1", ["link 1: traversal_chance -0.1 outside [0, 1]"]),
+        ("nan", ["link 1: traversal_chance nan outside [0, 1]"]),
+    ])
+    def test_traversal_chance(self, value, violations):
+        link = Link(1, "ab", 1, 2, False, (Fact(12, "fl", True, 2),),
+                    (CustomProperty("traversal_chance", value),))
+        assert validate_network(tiny_net(links=(link,))) == violations
+
     def test_load_raises_with_violations(self):
         doc = {"links": [{"id": 1, "from": 1, "to": 2}]}
         with pytest.raises(ModelValidationError) as e:

@@ -500,6 +500,8 @@ class TestStops:
         {"stop_wall_clock": -1.0},
         {"stop_wall_clock": float("nan")},
         {"generic_rule_limit": 0},
+        {"max_steps": 0},
+        {"max_steps": -5},
     ])
     def test_meaningless_bounds_rejected(self, bound):
         with pytest.raises(ValueError):
