@@ -30,6 +30,7 @@ from .model import (
     find_fact,
     load_network_file,
     omit_rule,
+    parse_network,
     read_model_text,
     validate_network,
 )
@@ -164,13 +165,11 @@ def cmd_query(args) -> int:
         raise CliError(f"-k must be 0 or more, got {args.k}")
     key = _SORT_KEYS[args.key]
     try:
-        rows = store.query_sorted(key, args.k)
-        values = store.metric_values(key)
+        rows = zip(store.query_sorted(key, args.k), store.top_values(key, args.k))
     except OSError as e:
         raise CliError(f"run directory {out_dir} is damaged: {e}") from None
     print(f"{'#':>4}  {'path':>8}  {'chain':>5}  {args.key}")
-    for rank, (pos, record) in enumerate(rows, start=1):
-        value = values.get(pos)
+    for rank, ((_, record), value) in enumerate(rows, start=1):
         shown = f"{value:.6g}" if isinstance(value, float) else str(value)
         print(f"{rank:>4}  {record.id:>8}  {len(record.connections):>5}  {shown}")
     return 0
@@ -225,8 +224,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .model import parse_network
-
     try:
         net = parse_network(read_model_text(args.model))
     except OSError as e:
@@ -330,7 +327,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, engine.EngineError, pathstore.FormatError) as e:
+    except (CliError, engine.EngineError, pathstore.FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -2,8 +2,9 @@
 workers.
 
 Both modes run ``traversal.search_loop``: ``run_single`` as worker 0 of 1 in
-the calling process, where errors surface raw, and ``run_multi`` in one
-forked process per worker, where a failure surfaces as ``EngineError``.
+the calling process, and ``run_multi`` in one forked process per worker.  A
+worker's failure surfaces as ``EngineError``; an error raised in the calling
+process, in either mode, is raised unchanged.
 ``search_loop`` applies every bound; a multi-worker run shares the counts it
 checks them against, its stop flag and its stop reason.
 Whenever a worker's stack reaches the redistribution threshold and some
@@ -16,7 +17,9 @@ receiver stays working until it has taken the batch: "every worker idle"
 already means "no transfer in flight".  The workers share the status table,
 so no termination token has to travel between them.
 
-A run clears its directory first and again if it fails
+A run checks its network and endpoints (``traversal.check_search``) before
+it touches its directory, so a bad input leaves an earlier run whole.  It
+then clears the directory, and whatever fails after that clears it again
 (``pathstore.clear_run``).  Each worker appends its finalized paths to its
 own file set and then writes its sort files.  The calling process merges
 the final-path and index files and commits the run by writing its summary.
@@ -44,6 +47,7 @@ from .traversal import (
     RunSummary,
     StopReason,
     TraversalConfig,
+    check_search,
     search_loop,
 )
 # Not called here: benchmarks/tracer.py wraps these under this module's name.
@@ -263,45 +267,31 @@ def _prepare_out_dir(out_dir) -> Path:
     return p
 
 
-def _finish_run(
-    out_path: Path, workers: int, summary: RunSummary,
-) -> tuple[MergedStore, RunSummary]:
-    """Merge the workers' files, then commit the run by writing its summary."""
-    merge_start = time.perf_counter()
-    pathstore.merge_final_and_index(out_path, list(range(workers)))
-    summary.sort_merge_seconds += time.perf_counter() - merge_start
-    pathstore.write_run_summary(out_path, summary)
+def _run(net: Network, config: TraversalConfig, out_dir, search) -> tuple[MergedStore, RunSummary]:
+    """Check the inputs, then clear the directory, run ``search(out_path)``,
+    which returns the run's summary and worker count, merge the workers'
+    files and commit the run by writing its summary.  Whatever fails after
+    the check clears the run and is raised."""
+    check_search(net, config)
+    out_path = _prepare_out_dir(out_dir)
+    try:
+        summary, workers = search(out_path)
+        merge_start = time.perf_counter()
+        pathstore.merge_final_and_index(out_path, list(range(workers)))
+        summary.sort_merge_seconds += time.perf_counter() - merge_start
+        pathstore.write_run_summary(out_path, summary)
+    except BaseException:
+        pathstore.clear_run(out_path)
+        raise
     return MergedStore(out_path), summary
 
 
-def run_multi(
-    net: Network,
-    config: EngineConfig,
-    out_dir,
-    progress: bool = False,
-) -> tuple[MergedStore, RunSummary]:
-    """Run the multi-worker search, returning the merged store and the
-    aggregated run summary."""
-    out_path = _prepare_out_dir(out_dir)
-    workers = config.resolved_workers()
-    ctx = multiprocessing.get_context("fork")
-    shared = SharedState(ctx, workers)
-    started = time.perf_counter()
-
-    procs = []
-    for w in range(workers):
-        procs.append(
-            ctx.Process(
-                target=_worker_main,
-                args=(w, net, config, str(out_path), shared, started, progress),
-            )
-        )
-    for p in procs:
-        p.start()
-
+def _wait_for_workers(shared: SharedState, procs: list) -> list[tuple]:
+    """Each worker's result, once every worker has exited; a worker that
+    failed, died or hung raises ``EngineError``."""
     messages = []
     failure = None
-    while len(messages) < workers:
+    while len(messages) < len(procs):
         try:
             messages.append(shared.results.get(timeout=0.1))
         except queue.Empty:
@@ -331,18 +321,44 @@ def run_multi(
     if failure is None and any(p.exitcode != 0 for p in procs):
         failure = f"worker exit codes {[p.exitcode for p in procs]}"
     if failure is not None:
-        pathstore.clear_run(out_path)
         raise EngineError(f"run failed: {failure}")
+    return [m["result"] for m in messages]
 
-    parts, searches_done, sorts_done = zip(*(m["result"] for m in messages))
-    summary = RunSummary()
-    for part in parts:
-        summary.merge(part)
-    done_at, sort_done_at = max(searches_done), max(sorts_done)
-    summary.elapsed_seconds = done_at - started
-    summary.sort_merge_seconds = sort_done_at - done_at
-    summary.stop_reason = _STOP_REASONS[shared.stop_reason.value]
-    return _finish_run(out_path, workers, summary)
+
+def run_multi(
+    net: Network,
+    config: EngineConfig,
+    out_dir,
+    progress: bool = False,
+) -> tuple[MergedStore, RunSummary]:
+    """Run the multi-worker search, returning the merged store and the
+    aggregated run summary."""
+
+    def search(out_path):
+        workers = config.resolved_workers()
+        ctx = multiprocessing.get_context("fork")
+        shared = SharedState(ctx, workers)
+        started = time.perf_counter()
+        procs = [
+            ctx.Process(
+                target=_worker_main,
+                args=(w, net, config, str(out_path), shared, started, progress),
+            )
+            for w in range(workers)
+        ]
+        for p in procs:
+            p.start()
+        parts, searches_done, sorts_done = zip(*_wait_for_workers(shared, procs))
+        summary = RunSummary()
+        for part in parts:
+            summary.merge(part)
+        done_at, sort_done_at = max(searches_done), max(sorts_done)
+        summary.elapsed_seconds = done_at - started
+        summary.sort_merge_seconds = sort_done_at - done_at
+        summary.stop_reason = _STOP_REASONS[shared.stop_reason.value]
+        return summary, workers
+
+    return _run(net, config.traversal, out_dir, search)
 
 
 def run_single(
@@ -354,19 +370,18 @@ def run_single(
 ) -> tuple[MergedStore, RunSummary]:
     """Run the search in this process as worker 0 of 1, writing what a
     one-worker ``run_multi`` writes; with no ``executor``, actions run dry."""
-    out_path = _prepare_out_dir(out_dir)
-    started = time.perf_counter()
-    scheduler = LocalScheduler(started)
     if executor is None:
         executor = ActionExecutor()
-    try:
+
+    def search(out_path):
+        started = time.perf_counter()
+        scheduler = LocalScheduler(started)
         summary, done_at, sort_done_at = _search_to_files(
             net, config, scheduler, out_path, executor, progress
         )
-    except BaseException:
-        pathstore.clear_run(out_path)
-        raise
-    summary.elapsed_seconds = done_at - started
-    summary.sort_merge_seconds = sort_done_at - done_at
-    summary.stop_reason = scheduler.stop_reason
-    return _finish_run(out_path, 1, summary)
+        summary.elapsed_seconds = done_at - started
+        summary.sort_merge_seconds = sort_done_at - done_at
+        summary.stop_reason = scheduler.stop_reason
+        return summary, 1
+
+    return _run(net, config, out_dir, search)

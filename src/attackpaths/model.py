@@ -240,17 +240,6 @@ class Network:
         set_("generic_rule_ids", frozenset(r.id for r in self.generic_rules))
 
 
-def traversal_chance(link_id: int, text: str) -> float:
-    """A link's ``traversal_chance``; ValueError naming the link unless a number in [0, 1]."""
-    try:
-        p = float(text)
-    except ValueError:
-        raise ValueError(f"link {link_id}: traversal_chance {text!r} is not a number") from None
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"link {link_id}: traversal_chance {p} outside [0, 1]")
-    return p
-
-
 def validate_network(net: Network) -> list[str]:
     """Return a list of violations, empty when the network is well formed.
 
@@ -314,9 +303,12 @@ def validate_network(net: Network) -> list[str]:
         for cp in l.custom_properties:
             if cp.key == "traversal_chance":
                 try:
-                    traversal_chance(l.id, cp.value)
-                except ValueError as e:
-                    out.append(str(e))
+                    p = float(cp.value)
+                except ValueError:
+                    out.append(f"link {l.id}: traversal_chance {cp.value!r} is not a number")
+                    continue
+                if not 0.0 <= p <= 1.0:
+                    out.append(f"link {l.id}: traversal_chance {p} outside [0, 1]")
 
     def check_rule_common(r):
         if not r.preconditions:

@@ -48,7 +48,7 @@ from itertools import islice, starmap
 from pathlib import Path
 from typing import BinaryIO, Iterator, Optional
 
-from .model import Network, traversal_chance
+from .model import Network
 from .traversal import RunSummary, TraversalPath
 
 _I32 = struct.Struct("<i")
@@ -129,12 +129,9 @@ class MetricVector:
         return getattr(self, key.name.lower())
 
 
-class MetricsError(Exception):
-    pass
-
-
 def compute_metrics(path: TraversalPath, net: Network) -> MetricVector:
-    """Metrics recorded per finalized path.
+    """Metrics recorded per finalized path of a checked network (see
+    ``traversal.check_search``), so every factor is a number in [0, 1].
 
     ``traversability_chance`` multiplies each crossed link's numeric
     ``traversal_chance`` custom property (1.0 when absent).  The three impact
@@ -146,25 +143,16 @@ def compute_metrics(path: TraversalPath, net: Network) -> MetricVector:
     for conn in path.connections:
         if conn.link is None:
             continue
-        link = net.links_by_id[conn.link.base_id]
-        for cp in link.custom_properties:
+        for cp in net.links_by_id[conn.link.base_id].custom_properties:
             if cp.key == "traversal_chance":
-                try:
-                    chance *= traversal_chance(link.id, cp.value)
-                except ValueError as e:
-                    raise MetricsError(str(e)) from None
+                chance *= float(cp.value)
 
     remaining = {"availability": 1.0, "confidentiality": 1.0, "integrity": 1.0}
     for conn in path.connections:
         for rid in conn.triggered_rules:
-            rule = net.rules_by_id.get(rid)
-            if rule is None:
-                continue
+            impacts = net.rules_by_id[rid].impacts
             for name in remaining:
-                impact = getattr(rule.impacts, name)
-                if not (0.0 <= impact <= 1.0):
-                    raise MetricsError(f"rule {rid} {name} impact {impact} outside [0, 1]")
-                remaining[name] *= 1.0 - impact
+                remaining[name] *= 1.0 - getattr(impacts, name)
 
     finished = path.finalized_at if path.finalized_at is not None else time.perf_counter()
     return MetricVector(
@@ -464,21 +452,26 @@ def _merge_keys(fh: BinaryIO, key: SortKey, offset: int, what: str) -> Iterator[
         yield -value, pos + offset
 
 
-def merge_sort_files(directory, key: SortKey, workers: list[int], offsets: list[int]) -> Path:
-    """Build the merged sort file for one key by k-way merging the worker
-    sort files on highest value (ties by adjusted position ascending).  Only
-    the offset-adjusted int64 positions are written, to ``<title>.partial``,
-    which replaces the target only once it is complete."""
-    directory = Path(directory)
-    target = merged_file(directory, key.title)
-    with _written_in_place_of(target) as (partial,), ExitStack() as stack:
+@contextmanager
+def _k_way_merge(directory, key: SortKey) -> Iterator[Iterator[tuple]]:
+    """The k-way merge of the worker sort files of ``key`` on highest value
+    (ties by adjusted position ascending), as ``_merge_keys`` pairs."""
+    with ExitStack() as stack:
         streams = []
-        for w, offset in zip(workers, offsets):
+        for w, offset in zip(*read_offsets(directory)):
             src = worker_file(directory, key.title, w)
             streams.append(_merge_keys(stack.enter_context(open(src, "rb")), key, offset, src.name))
-        out = stack.enter_context(open(partial, "wb"))
-        out.writelines(_I64.pack(pos) for _, pos in heapq.merge(*streams))
-    return target
+        yield heapq.merge(*streams)
+
+
+def merge_sort_files(directory, key: SortKey) -> None:
+    """Build the merged sort file for one key from ``_k_way_merge``.  Only
+    the offset-adjusted int64 positions are written, to ``<title>.partial``,
+    which replaces the target only once it is complete."""
+    target = merged_file(directory, key.title)
+    with _written_in_place_of(target) as (partial,), _k_way_merge(directory, key) as merged:
+        with open(partial, "wb") as out:
+            out.writelines(_I64.pack(pos) for _, pos in merged)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +505,7 @@ class MergedStore:
         one appears only once complete."""
         target = merged_file(self.directory, key.title)
         if not target.exists():
-            workers, offsets = read_offsets(self.directory)
-            merge_sort_files(self.directory, key, workers, offsets)
+            merge_sort_files(self.directory, key)
         return target
 
     def sorted_positions(self, key: SortKey, k: Optional[int] = None) -> list[int]:
@@ -525,6 +517,12 @@ class MergedStore:
         """Top-k paths by the key, best first, as (position, record) pairs."""
         return [(pos, self.read_path_at(pos)) for pos in self.sorted_positions(key, k)]
 
+    def top_values(self, key: SortKey, k: int) -> list:
+        """The values of ``sorted_positions(key, k)``, in that order: the
+        first k pairs of the worker sort files' merge."""
+        with _k_way_merge(self.directory, key) as merged:
+            return [-negated for negated, _ in islice(merged, k)]
+
     def metric_values(self, key: SortKey) -> dict[int, object]:
         """Adjusted position -> sort value, joined from the worker sort files."""
         workers, offsets = read_offsets(self.directory)
@@ -535,11 +533,10 @@ class MergedStore:
         return out
 
 
-def write_run_summary(directory, summary: RunSummary) -> Path:
+def write_run_summary(directory, summary: RunSummary) -> None:
     """Write ``summary`` whole, through its ``.partial`` file.  It is the last
     file a run writes, and marks the run complete."""
     target = merged_file(directory, SUMMARY_TITLE)
     with _written_in_place_of(target) as (partial,), open(partial, "w", encoding="utf-8") as fh:
         json.dump(summary.to_dict(), fh, indent=2)
         fh.write("\n")
-    return target

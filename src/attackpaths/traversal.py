@@ -22,13 +22,15 @@ Every run searches in ``search_loop``, which applies all three bounds:
 ``stop_wall_clock`` before each pop, ``stop_max_final_paths`` after each final
 path and ``max_steps`` at each candidate step.  A scheduler only keeps the
 run-wide counts and the first stop reason, and moves work between workers.
+A run calls ``check_search`` first; past it, moves come from
+``net.adjacency`` and no step re-checks an ID.
 """
 
 from __future__ import annotations
 
 import subprocess
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -37,10 +39,12 @@ from .model import (
     ENV,
     FactCondition,
     GenericRule,
+    ModelValidationError,
     Network,
     NormalRule,
     OwnerKey,
     Position,
+    validate_network,
 )
 
 
@@ -71,6 +75,10 @@ class ActionRecord:
     status: str
 
 
+# Seconds an executed action may run; a slower one is killed and recorded as failed.
+ACTION_TIMEOUT = 10.0
+
+
 class ActionExecutor:
     """Runs rule actions and keeps a record per invocation.
 
@@ -79,9 +87,8 @@ class ActionExecutor:
     traversal.
     """
 
-    def __init__(self, mode: ActionMode = ActionMode.DRY_RUN, timeout: float = 10.0):
+    def __init__(self, mode: ActionMode = ActionMode.DRY_RUN):
         self.mode = mode
-        self.timeout = timeout
         self.records: list[ActionRecord] = []
 
     def run(self, rule_id: int, action) -> None:
@@ -95,7 +102,7 @@ class ActionExecutor:
                 action.command,
                 shell=True,
                 capture_output=True,
-                timeout=self.timeout,
+                timeout=ACTION_TIMEOUT,
             )
             status = f"exit {proc.returncode}"
         except Exception as e:
@@ -122,6 +129,18 @@ class TraversalConfig:
             raise ValueError("stop_wall_clock must be a positive number of seconds")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+
+
+def check_search(net: Network, config: TraversalConfig) -> None:
+    """``ModelValidationError`` for an invalid network, ``TraversalError``
+    for an endpoint that is not a container.  Every run calls this first;
+    past it, the search trusts the network and checks nothing per step."""
+    violations = validate_network(net)
+    if violations:
+        raise ModelValidationError(violations)
+    for name, container in (("start", config.start), ("end", config.end)):
+        if container not in net.containers_by_id:
+            raise TraversalError(f"unknown {name} container {container}")
 
 
 class Variant:
@@ -203,9 +222,7 @@ def _take_variant(path: TraversalPath, key: OwnerKey, net: Network) -> Variant:
     so each variant keeps its entity's fact declaration order.
     """
     current = path.variants.get(key)
-    base = current.values if current is not None else net.base_values.get(key)
-    if base is None:
-        raise TraversalError(f"unknown {key[0]} {key[1]}")
+    base = current.values if current is not None else net.base_values[key]
     v = path.variants[key] = Variant(key, dict(base))
     return v
 
@@ -214,19 +231,9 @@ def make_connection(
     path: TraversalPath, from_container: int, link_id: int, to_container: int,
     conn_id: int, net: Network,
 ) -> Connection:
-    """Create the connection for one traversal step and register fresh
-    variants for all three entities in the path's active maps."""
-    link = net.links_by_id.get(link_id)
-    if link is None:
-        raise TraversalError(f"unknown link {link_id}")
-    forward = link.endpoint_a == from_container and link.endpoint_b == to_container
-    backward = link.endpoint_a == to_container and link.endpoint_b == from_container
-    if not (forward or backward):
-        raise TraversalError(
-            f"link {link_id} does not join containers {from_container} and {to_container}"
-        )
-    if link.directed and not forward:
-        raise TraversalError(f"link {link_id} is directed and cannot be crossed backwards")
+    """Create the connection for one traversal step, a move taken from
+    ``net.adjacency``, and register fresh variants for all three entities in
+    the path's active maps."""
     e1 = _take_variant(path, ("container", from_container), net)
     lv = _take_variant(path, ("link", link_id), net)
     e2 = _take_variant(path, ("container", to_container), net)
@@ -251,10 +258,7 @@ def _values(path: TraversalPath, key: OwnerKey, net: Network) -> dict[int, bool]
 
 def lookup_normal_fact(path: TraversalPath, fact_id: int, net: Network) -> bool:
     """Resolve a fact the way normal rules see it."""
-    key = net.fact_owner.get(fact_id)
-    if key is None:
-        raise TraversalError(f"unknown fact {fact_id}")
-    return _values(path, key, net)[fact_id]
+    return _values(path, net.fact_owner[fact_id], net)[fact_id]
 
 
 def _set_fact(
@@ -427,9 +431,7 @@ def _run_actions(conn: Connection, net: Network, executor: Optional[ActionExecut
         return
     for rule_id in conn.triggered_rules:
         for aid in net.rules_by_id[rule_id].action_ids:
-            action = net.actions_by_id.get(aid)
-            if action is not None:
-                executor.run(rule_id, action)
+            executor.run(rule_id, net.actions_by_id[aid])
 
 
 def expand_path(
@@ -531,12 +533,6 @@ class RunSummary:
         JSON writes the chains as lists and the stop reason as its string."""
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunSummary":
-        """Inverse of ``to_dict``.  A missing key takes the field's default;
-        a present one is converted to the type of that default."""
-        return cls(**{f.name: type(f.default)(d[f.name]) for f in fields(cls) if f.name in d})
-
 
 PROGRESS_EVERY = 10000
 
@@ -626,8 +622,9 @@ def single_threaded_search(
     progress: Optional[Callable[[int], None]] = None,
 ) -> RunSummary:
     """Depth-first exhaustive search with one in-progress stack, bounded as
-    ``search_loop`` describes.  Finalized paths are handed to ``sink`` in
-    discovery order."""
+    ``search_loop`` describes, after ``check_search``.  Finalized paths are
+    handed to ``sink`` in discovery order."""
+    check_search(net, config)
     started = time.perf_counter()
     scheduler = LocalScheduler(started)
     summary = search_loop(net, config, scheduler, sink, executor, progress)

@@ -1,3 +1,4 @@
+import errno
 import json
 import multiprocessing
 import os
@@ -67,6 +68,23 @@ class TestRun:
         for name in ("Final paths", "Index", "summary", "Final paths-0.tmp",
                      "Traversability chance-0.tmp"):
             assert (tmp_path / name).exists(), name
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_full_disk_at_merge_is_an_error_line(self, mode, fixture_model, tmp_path,
+                                                 monkeypatch, capsys):
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(pathstore, "merge_final_and_index", disk_full)
+        rc = run_cli(
+            "run", "--model", fixture_model, "--start", "1", "--end", "2",
+            "--mode", mode, *(["--workers", "2"] if mode == "multi" else []),
+            "--out", str(tmp_path),
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_multi_run(self, fixture_model, tmp_path, capsys):
         rc = run_cli(
@@ -247,6 +265,16 @@ class TestGenValidateDot:
         assert rc == 0
         doc = json.loads(out)
         assert len(doc["containers"]) == 4
+
+    def test_gen_into_missing_directory_is_an_error_line(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "dir" / "x.json"
+        rc = run_cli("gen", "--topology", "chain", "--n", "3", "--out-file", str(target))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "No such file or directory" in captured.err
+        assert not target.parent.exists()
 
     def test_gen_validate_run_cycle(self, tmp_path, capsys):
         model = tmp_path / "chain.json"

@@ -1,12 +1,18 @@
+import errno
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from attackpaths import engine, pathstore
+from attackpaths import cli, engine, pathstore
 from attackpaths.engine import (
     _IDLE,
     _STOP_REASONS,
@@ -23,7 +29,14 @@ from attackpaths.engine import (
     run_single,
 )
 from attackpaths.filters import bind_filter, parse_filter
-from attackpaths.model import CustomProperty, Link, Network
+from attackpaths.model import (
+    CustomProperty,
+    FactCondition,
+    Link,
+    ModelValidationError,
+    Network,
+    NormalRule,
+)
 from attackpaths.pathstore import FINAL_PATHS_TITLE, INDEX_TITLE, worker_file
 from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
 from attackpaths.traversal import (
@@ -31,6 +44,7 @@ from attackpaths.traversal import (
     StepBudgetExceeded,
     StopReason,
     TraversalConfig,
+    TraversalError,
     search_loop,
     single_threaded_search,
 )
@@ -295,7 +309,7 @@ class TestMultiWorker:
         seq = [values[pos] for pos in order]
         assert seq == sorted(seq, reverse=True)
         text = pathstore.merged_file(tmp_path, pathstore.SUMMARY_TITLE).read_text()
-        assert RunSummary.from_dict(json.loads(text)) == summary
+        assert json.loads(text) == json.loads(json.dumps(summary.to_dict()))
 
 
 class TestStopsMulti:
@@ -375,33 +389,25 @@ class TestOneStopRule:
                 assert found <= m.total_final_paths <= found + overshoot, (name, n, workers)
 
 
+def boom(path, net):
+    raise ValueError("boom")
+
+
 class TestFailures:
-    def broken_net(self):
+    def test_worker_error_surfaces_and_cleans_up(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine, "compute_metrics", boom)
         net = generate_model(SyntheticSpec("chain", n=3))
-        links = tuple(
-            Link(l.id, l.name, l.endpoint_a, l.endpoint_b, l.directed, l.facts,
-                 (CustomProperty("traversal_chance", "not-a-number"),))
-            for l in net.links
-        )
-        return Network(
-            containers=net.containers,
-            links=links,
-            common_properties=net.common_properties,
-            generic_rules=net.generic_rules,
-        )
-
-    def test_worker_error_surfaces_and_cleans_up(self, tmp_path):
-        net = self.broken_net()
         cfg = TraversalConfig(start=1, end=3)
-        with pytest.raises(EngineError, match="not-a-number"):
+        with pytest.raises(EngineError, match="ValueError: boom"):
             run_multi(net, EngineConfig(cfg, worker_count=2), tmp_path)
-        assert list(tmp_path.glob("*.tmp")) == []
+        assert os.listdir(tmp_path) == []
 
-    def test_single_mode_propagates(self, tmp_path):
-        net = self.broken_net()
-        with pytest.raises(pathstore.MetricsError):
+    def test_single_mode_propagates(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine, "compute_metrics", boom)
+        net = generate_model(SyntheticSpec("chain", n=3))
+        with pytest.raises(ValueError, match="boom"):
             run_single(net, TraversalConfig(start=1, end=3), tmp_path)
-        assert list(tmp_path.glob("*.tmp")) == []
+        assert os.listdir(tmp_path) == []
 
     def test_dead_worker_fails_cleanly(self, tmp_path, monkeypatch):
         # Worker 0 dies on its only final path while worker 1 sleeps idle:
@@ -428,3 +434,126 @@ class TestFailures:
                 EngineConfig(TraversalConfig(start=1, end=3), worker_count=1),
                 blocked / "sub",
             )
+
+
+def broken_net():
+    """``chain(3)`` whose links' traversal_chance is not a number."""
+    net = generate_model(SyntheticSpec("chain", n=3))
+    links = tuple(
+        Link(l.id, l.name, l.endpoint_a, l.endpoint_b, l.directed, l.facts,
+             (CustomProperty("traversal_chance", "not-a-number"),))
+        for l in net.links
+    )
+    return Network(
+        containers=net.containers,
+        links=links,
+        common_properties=net.common_properties,
+        generic_rules=net.generic_rules,
+    )
+
+
+def unknown_fact_net():
+    """``layered(2,2)`` with a normal rule that fires on the first crossing
+    and sets fact 12345, which nothing declares."""
+    net = generate_model(SyntheticSpec("layered", width=2, depth=2))
+    fact = net.links[0].facts[0]
+    rule = NormalRule(900, "sets an unknown fact", (FactCondition(fact.id, fact.value),),
+                      (FactCondition(12345, True),))
+    return replace(net, normal_rules=net.normal_rules + (rule,))
+
+
+def bad_input(case):
+    """A network and config that no run may start, with the error and its text."""
+    layered = generate_model(SyntheticSpec("layered", width=2, depth=2))
+    start, end = start_and_end(layered)
+    return {
+        "broken-net": (broken_net(), TraversalConfig(start=1, end=3), ModelValidationError,
+                       "link 1: traversal_chance 'not-a-number' is not a number"),
+        "unknown-fact": (unknown_fact_net(), TraversalConfig(start=start, end=end),
+                         ModelValidationError,
+                         "rule 900 postcondition references unknown fact 12345"),
+        "end-99": (layered, TraversalConfig(start=start, end=99), TraversalError,
+                   "unknown end container 99"),
+        "start-99": (layered, TraversalConfig(start=99, end=end), TraversalError,
+                     "unknown start container 99"),
+    }[case]
+
+
+def start_run(mode, net, cfg, out_dir):
+    if mode == "single":
+        return run_single(net, cfg, out_dir)
+    return run_multi(net, EngineConfig(cfg, worker_count=2), out_dir)
+
+
+class TestBoundary:
+    """A run checks its network and endpoints before it touches its
+    directory, and clears every file of its own if anything fails after."""
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    @pytest.mark.parametrize("case", ["broken-net", "unknown-fact", "end-99", "start-99"])
+    def test_bad_input_leaves_the_earlier_run(self, case, mode, tmp_path, capsys):
+        net, cfg, error, message = bad_input(case)
+        layered = generate_model(SyntheticSpec("layered", width=2, depth=2))
+        start_run("single", layered, TraversalConfig(*start_and_end(layered)), tmp_path)
+        summary = (tmp_path / "summary").read_bytes()
+        files = sorted(os.listdir(tmp_path))
+        with pytest.raises(error, match=message):
+            start_run(mode, net, cfg, tmp_path)
+        with pytest.raises(error, match=message):
+            single_threaded_search(net, cfg, lambda path: None)
+        assert sorted(os.listdir(tmp_path)) == files
+        assert (tmp_path / "summary").read_bytes() == summary
+        assert cli.main(["query", "--out", str(tmp_path), "-k", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    @pytest.mark.parametrize("step", ["merge_final_and_index", "write_run_summary"])
+    def test_failure_after_the_check_clears_the_run(self, step, mode, tmp_path, monkeypatch):
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        layered_run(tmp_path)
+        monkeypatch.setattr(pathstore, step, disk_full)
+        with pytest.raises(OSError) as raised:
+            layered_run(tmp_path, workers=1 if mode == "single" else 2)
+        assert raised.value.errno == errno.ENOSPC
+        assert os.listdir(tmp_path) == []
+
+    def test_full_disk_clears_the_run(self, tmp_path):
+        # The child caps the size of any file it writes (RLIMIT_FSIZE) and
+        # ignores SIGXFSZ, so a write past the cap fails with EFBIG.  Which
+        # step hits it first depends on scheduling.
+        script = textwrap.dedent("""
+            import json, resource, signal, sys
+            from attackpaths import EngineConfig, EngineError, run_multi, run_single
+            from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
+            from attackpaths.traversal import TraversalConfig
+
+            net = generate_model(SyntheticSpec("layered", width=4, depth=4))
+            cfg = TraversalConfig(*start_and_end(net))
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (40_000, resource.RLIM_INFINITY))
+            raised = {}
+            for mode, out_dir in zip(("single", "multi"), sys.argv[1:]):
+                try:
+                    if mode == "single":
+                        run_single(net, cfg, out_dir)
+                    else:
+                        run_multi(net, EngineConfig(cfg, worker_count=2), out_dir)
+                    raised[mode] = None
+                except (OSError, EngineError) as e:
+                    raised[mode] = type(e).__name__
+            print(json.dumps(raised))
+        """)
+        dirs = [tmp_path / "single", tmp_path / "multi"]
+        src = Path(engine.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *map(str, dirs)], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        raised = json.loads(proc.stdout)
+        assert raised["single"] == "OSError"
+        assert raised["multi"] in ("OSError", "EngineError")
+        for d in dirs:
+            assert os.listdir(d) == [], d

@@ -14,6 +14,7 @@ from attackpaths.model import (
     Fact,
     GenericRule,
     Link,
+    ModelValidationError,
     Network,
     Position,
     PropertyCondition,
@@ -33,7 +34,6 @@ from attackpaths.pathstore import (
     FormatError,
     MergedStore,
     MetricVector,
-    MetricsError,
     PathRecord,
     PathWriter,
     SortKey,
@@ -53,7 +53,13 @@ from attackpaths.pathstore import (
     write_run_summary,
     write_sort_file,
 )
-from attackpaths.traversal import RunSummary, StopReason, TraversalConfig, single_threaded_search
+from attackpaths.traversal import (
+    RunSummary,
+    StopReason,
+    TraversalConfig,
+    check_search,
+    single_threaded_search,
+)
 
 from support import layered_run, random_record
 
@@ -336,6 +342,19 @@ class TestMerge:
                 assert values[pos + offsets[w]] == pytest.approx(mv.integrity)
                 pos += len(encode_path(record))
 
+    @pytest.mark.parametrize("key", list(SortKey))
+    def test_top_values_are_the_values_of_the_top_positions(self, tmp_path, key):
+        for run_dir, tied in ((tmp_path / "random", False), (tmp_path / "tied", True)):
+            run_dir.mkdir()
+            random_run(run_dir, workers=2, tied=tied)
+            store = MergedStore(run_dir)
+            values = store.metric_values(key)
+            n = store.count
+            for k in (0, 1, 5, n, n + 3):
+                expected = [values[pos] for pos in store.sorted_positions(key, k)]
+                assert store.top_values(key, k) == expected, (tied, k)
+                assert len(expected) == min(k, n)
+
     def test_remerge_invalidates_sorted_files(self, tmp_path):
         random_run(tmp_path)
         store = MergedStore(tmp_path)
@@ -478,21 +497,25 @@ class TestMetrics:
         assert (mv.availability, mv.confidentiality, mv.integrity) == (0.0, 0.0, 0.0)
         assert mv.traversability_chance == 1.0
 
+    # compute_metrics trusts its factors: a run refuses these networks in
+    # check_search, before any path exists.
     def test_non_numeric_chance(self):
         net = metrics_net(chances=("abc", "0.5"))
-        path = sole_final(net)
-        with pytest.raises(MetricsError, match="not a number"):
-            compute_metrics(path, net)
+        message = "link 1: traversal_chance 'abc' is not a number"
+        with pytest.raises(ModelValidationError, match=message):
+            check_search(net, TraversalConfig(start=1, end=3))
 
     def test_chance_out_of_range(self):
         net = metrics_net(chances=("1.5", "0.5"))
-        with pytest.raises(MetricsError, match="outside"):
-            compute_metrics(sole_final(net), net)
+        message = r"link 1: traversal_chance 1.5 outside \[0, 1\]"
+        with pytest.raises(ModelValidationError, match=message):
+            check_search(net, TraversalConfig(start=1, end=3))
 
     def test_impact_out_of_range(self):
         net = metrics_net(impacts=RuleImpacts(confidentiality=2.0))
-        with pytest.raises(MetricsError, match="impact 2.0 outside"):
-            compute_metrics(sole_final(net), net)
+        message = r"rule 1 confidentiality impact 2.0 outside \[0, 1\]"
+        with pytest.raises(ModelValidationError, match=message):
+            check_search(net, TraversalConfig(start=1, end=3))
 
     def test_value_for_covers_every_key(self):
         mv = MetricVector(3, 0.1, 0.2, 0.3, 4.0, 0.5)
@@ -555,7 +578,8 @@ class TestSummaryFile:
             action_failures=1,
         )
         write_run_summary(tmp_path, s)
-        assert RunSummary.from_dict(json.loads((tmp_path / "summary").read_text())) == s
+        text = (tmp_path / "summary").read_text()
+        assert json.loads(text) == json.loads(json.dumps(s.to_dict()))
 
     def test_file_is_json_named_summary(self, tmp_path):
         write_run_summary(tmp_path, RunSummary())

@@ -28,7 +28,6 @@ from attackpaths.traversal import (
     StepBudgetExceeded,
     StopReason,
     TraversalConfig,
-    TraversalError,
     apply_normal_postconditions,
     clone_path,
     expand_path,
@@ -288,20 +287,16 @@ class TestRunRules:
 
 
 class TestConnections:
-    def test_unknown_link(self, filter_net):
-        path = new_seed_path(filter_net, 0, 0.0)
-        with pytest.raises(TraversalError, match="unknown link 9"):
-            make_connection(path, 1, 9, 2, 0, filter_net)
-
-    def test_link_not_incident(self, filter_net):
-        path = new_seed_path(filter_net, 0, 0.0)
-        with pytest.raises(TraversalError, match="does not join"):
-            make_connection(path, 1, 2, 3, 0, filter_net)
-
-    def test_directed_link_backwards(self, filter_net):
-        path = new_seed_path(filter_net, 0, 0.0)
-        with pytest.raises(TraversalError, match="directed"):
-            make_connection(path, 2, 1, 1, 0, filter_net)
+    def test_directed_link_backwards(self):
+        # A search offers only the moves in net.adjacency, which holds a
+        # directed link in its own direction alone.
+        net = generate_model(SyntheticSpec("chain", n=3))
+        net = replace(net, links=tuple(replace(l, directed=True) for l in net.links))
+        forward, _ = run_search(net, TraversalConfig(start=1, end=3))
+        assert [route(p)[:-1] for p in forward] == [[(1, 1, 2), (2, 2, 3)]]
+        backward, summary = run_search(net, TraversalConfig(start=3, end=1))
+        assert backward == []
+        assert summary.stop_reason is StopReason.EXHAUSTED
 
     def test_undirected_link_both_ways(self, filter_net):
         path = new_seed_path(filter_net, 0, 0.0)
@@ -415,10 +410,11 @@ class TestFingerprints:
         assert every_kept_path(flipped) == kept
 
     def test_search_terminates_on_stateless_loop(self, filter_net):
-        # End container 3 unreachable by filter state: with an unsatisfiable
+        # End container 99 is an island no link reaches: with an unreachable
         # end the C2 <-> C3 shuttle must stop once states repeat.
+        net = replace(filter_net, containers=filter_net.containers + (Container(99, "island"),))
         cfg = TraversalConfig(start=1, end=99)
-        finals, summary = run_search(filter_net, cfg)
+        finals, summary = run_search(net, cfg)
         assert finals == []
         assert summary.stop_reason is StopReason.EXHAUSTED
 
@@ -618,11 +614,13 @@ FULL_SUMMARY = RunSummary(
 class TestRunSummaryDict:
     def test_round_trip_with_every_field_set(self):
         assert all(v != getattr(RunSummary(), k) for k, v in vars(FULL_SUMMARY).items())
-        assert RunSummary.from_dict(FULL_SUMMARY.to_dict()) == FULL_SUMMARY
-        text = json.dumps(FULL_SUMMARY.to_dict())
-        assert json.loads(text)["longest_chain"] == [6, 2]
-        assert json.loads(text)["stop_reason"] == "time-limit"
-        assert RunSummary.from_dict(json.loads(text)) == FULL_SUMMARY
+        doc = json.loads(json.dumps(FULL_SUMMARY.to_dict()))
+        assert doc == {
+            "total_final_paths": 5, "total_connections": 20, "total_rules_triggered": 17,
+            "longest_chain": [6, 2], "shortest_chain": [2, 1], "elapsed_seconds": 1.25,
+            "sort_merge_seconds": 0.5, "stop_reason": "time-limit", "actions_run": 3,
+            "action_failures": 1,
+        }
 
     def test_key_order_is_field_order(self):
         assert list(FULL_SUMMARY.to_dict()) == [
@@ -630,11 +628,3 @@ class TestRunSummaryDict:
             "longest_chain", "shortest_chain", "elapsed_seconds", "sort_merge_seconds",
             "stop_reason", "actions_run", "action_failures",
         ]
-
-    @pytest.mark.parametrize("key", list(FULL_SUMMARY.to_dict()))
-    def test_missing_key_takes_the_default(self, key):
-        d = FULL_SUMMARY.to_dict()
-        del d[key]
-        loaded = RunSummary.from_dict(d)
-        assert getattr(loaded, key) == getattr(RunSummary(), key)
-        assert {k: v for k, v in loaded.to_dict().items() if k != key} == d
