@@ -176,14 +176,17 @@ def cmd_query(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = synth.SyntheticSpec(
-        topology=args.topology,
-        n=args.n,
-        width=args.width,
-        depth=args.depth,
-        template=args.template,
-        seed=args.seed,
-    )
+    try:
+        spec = synth.SyntheticSpec(
+            topology=args.topology,
+            n=args.n,
+            width=args.width,
+            depth=args.depth,
+            template=args.template,
+            seed=args.seed,
+        )
+    except ValueError as e:
+        raise CliError(str(e)) from None
     net = synth.generate_model(spec)
     text = dump_network(net)
     if args.out_file == "-":

@@ -184,8 +184,8 @@ def _print_progress(count: int) -> None:
 
 
 def _search_to_files(
-    net: Network, config: TraversalConfig, scheduler, out_dir, executor: ActionExecutor,
-    progress: bool,
+    net: Network, config: TraversalConfig, scheduler, out_dir,
+    executor: Optional[ActionExecutor], progress: bool,
 ) -> tuple[RunSummary, float, float]:
     """Run one worker's search into its path files, then write its sort files.
     Returns its summary and the times its search and its sort ended."""
@@ -370,8 +370,6 @@ def run_single(
 ) -> tuple[MergedStore, RunSummary]:
     """Run the search in this process as worker 0 of 1, writing what a
     one-worker ``run_multi`` writes; with no ``executor``, actions run dry."""
-    if executor is None:
-        executor = ActionExecutor()
 
     def search(out_path):
         started = time.perf_counter()

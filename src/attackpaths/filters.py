@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from .model import Network
 
@@ -196,6 +196,15 @@ def bind_filter(expr: FilterExpr, net: Network, end_container: int) -> FilterExp
         return Or(go(e.left), go(e.right))
 
     return go(expr)
+
+
+def filter_atoms(expr: Optional[FilterExpr]) -> Iterator[Atom]:
+    """Every atom of ``expr``, left to right; none for no filter."""
+    if isinstance(expr, Atom):
+        yield expr
+    elif expr is not None:
+        yield from filter_atoms(expr.left)
+        yield from filter_atoms(expr.right)
 
 
 def evaluate_filter(expr: FilterExpr, fact_values: Mapping[int, bool]) -> bool:

@@ -185,7 +185,6 @@ class Network:
         set_ = lambda k, v: object.__setattr__(self, k, v)
         set_("containers_by_id", {c.id: c for c in self.containers})
         set_("links_by_id", {l.id: l for l in self.links})
-        set_("properties_by_id", {p.id: p for p in self.common_properties})
         set_("actions_by_id", {a.id: a for a in self.actions})
 
         facts_by_id: dict[int, Fact] = {}
@@ -624,13 +623,17 @@ def export_dot(net: Network) -> str:
     """Render the container/link topology as Graphviz DOT.
 
     Undirected links are drawn with ``dir=none``; containers and links appear
-    in ascending ID order.
+    in ascending ID order.  Labels escape ``"`` and ``\\``.
     """
+    def label(entity) -> str:
+        text = str(entity.name or entity.id).replace("\\", "\\\\").replace('"', '\\"')
+        return f'label="{text}"'
+
     lines = ["digraph model {"]
     for c in sorted(net.containers, key=lambda c: c.id):
-        lines.append(f'  c{c.id} [label="{c.name or c.id}"];')
+        lines.append(f"  c{c.id} [{label(c)}];")
     for l in sorted(net.links, key=lambda l: l.id):
-        attrs = [f'label="{l.name or l.id}"']
+        attrs = [label(l)]
         if not l.directed:
             attrs.append("dir=none")
         lines.append(f'  c{l.endpoint_a} -> c{l.endpoint_b} [{", ".join(attrs)}];')

@@ -194,7 +194,7 @@ def path_to_record(path: TraversalPath) -> PathRecord:
     def ent(v):
         if v is None:
             return None
-        return EntityRecord(v.base_id, tuple(v.values.items()))
+        return EntityRecord(*v)
 
     return PathRecord(
         id=path.id,

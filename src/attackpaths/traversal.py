@@ -1,10 +1,12 @@
 """Exhaustive path enumeration over a network model.
 
-A traversal grows paths connection by connection.  Each connection snapshots
-the three entities it touches (start container, link, end container) as
-*variants*: mutable copies whose fact values the rules of that connection may
-change.  A path therefore carries a full history of entity states along with
-the variant map used to seed the next connection.
+A traversal grows paths connection by connection.  A path's state is the
+base network plus two maps: its environment and ``changed``, the container
+and link facts a rule has set on this path.  Rules read and write through
+them, and a clone copies only these two maps.  A connection names the three
+entities it touches (start container, link, end container) by owner key;
+once its rules have run, each is frozen into an ``Entity`` tuple of base ID
+and fact values.  A path therefore carries a full history of entity states.
 
 Two admission checks keep the search finite and meaningful:
 
@@ -23,18 +25,20 @@ Every run searches in ``search_loop``, which applies all three bounds:
 path and ``max_steps`` at each candidate step.  A scheduler only keeps the
 run-wide counts and the first stop reason, and moves work between workers.
 A run calls ``check_search`` first; past it, moves come from
-``net.adjacency`` and no step re-checks an ID.
+``net.adjacency`` and no step re-checks an ID or the completion filter.
 """
 
 from __future__ import annotations
 
+import itertools
 import subprocess
 import time
+from collections import ChainMap
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .filters import FilterExpr, evaluate_filter
+from .filters import FilterExpr, evaluate_filter, filter_atoms
 from .model import (
     ENV,
     FactCondition,
@@ -133,53 +137,62 @@ class TraversalConfig:
 
 def check_search(net: Network, config: TraversalConfig) -> None:
     """``ModelValidationError`` for an invalid network, ``TraversalError``
-    for an endpoint that is not a container.  Every run calls this first;
-    past it, the search trusts the network and checks nothing per step."""
+    for an endpoint that is not a container or a completion filter with an
+    atom not bound to a fact of the end container.  Every run calls this
+    first; past it, the search trusts its inputs and checks nothing per step."""
     violations = validate_network(net)
     if violations:
         raise ModelValidationError(violations)
     for name, container in (("start", config.start), ("end", config.end)):
         if container not in net.containers_by_id:
             raise TraversalError(f"unknown {name} container {container}")
+    end_facts = net.base_values[("container", config.end)]
+    for atom in filter_atoms(config.completion_filter):
+        if atom.fact_id not in end_facts:
+            raise TraversalError(
+                f"filter atom {atom.ident!r} is not bound to a fact of end container {config.end}"
+            )
 
 
-class Variant:
-    """Path-local copy of a container or link: its owner key, its base entity
-    ID and the fact values as this path currently sees them."""
+class Entity(NamedTuple):
+    """A connection's frozen copy of one container or link: its base ID and
+    its fact values, in declaration order, as the path saw them once the
+    connection's rules had run."""
 
-    __slots__ = ("key", "base_id", "values")
-
-    def __init__(self, key: OwnerKey, values: dict[int, bool]):
-        self.key = key
-        self.base_id = key[1]
-        self.values = values
-
-    def __repr__(self):
-        return f"Variant({self.key[0]} {self.base_id} {self.values})"
+    base_id: int
+    facts: tuple[tuple[int, bool], ...]
 
 
 class Connection:
+    """One traversal step.  ``entity1``, ``link`` and ``entity2`` are the
+    start container, the link and the end container, None where absent: owner
+    keys until ``run_rules`` freezes each into an ``Entity``."""
+
     __slots__ = ("id", "entity1", "link", "entity2", "triggered_rules", "env_changes")
 
     def __init__(self, cid: int, entity1, link, entity2):
         self.id = cid
-        self.entity1: Optional[Variant] = entity1
-        self.link: Optional[Variant] = link
-        self.entity2: Optional[Variant] = entity2
+        self.entity1 = entity1
+        self.link = link
+        self.entity2 = entity2
         self.triggered_rules: list[int] = []
         self.env_changes: dict[int, bool] = {}
 
 
 class TraversalPath:
+    """A path's state is the base network plus two maps: ``env_facts``, the
+    whole environment, and ``changed``, the container and link facts a rule
+    has set on this path.  Every other fact keeps its base value."""
+
     __slots__ = (
-        "id", "connections", "env_facts", "variants", "fp_head", "started_at", "finalized_at",
+        "id", "connections", "env_facts", "changed", "fp_head", "started_at", "finalized_at",
     )
 
     def __init__(self, pid: int, env_facts: dict[int, bool], started_at: float):
         self.id = pid
         self.connections: list[Connection] = []
         self.env_facts = env_facts
-        self.variants: dict[OwnerKey, Variant] = {}
+        self.changed: dict[int, bool] = {}
         # Fingerprint history as a shared immutable chain, so clones are O(1).
         self.fp_head: Optional[tuple] = None
         self.started_at = started_at
@@ -197,102 +210,59 @@ def new_seed_path(net: Network, path_id: int, started_at: float) -> TraversalPat
 
 
 def clone_path(path: TraversalPath, new_id: int) -> TraversalPath:
-    """Copy a path so the clone can evolve independently.
-
-    Connection and variant objects already frozen into the history are shared;
-    every mutation goes through copy-on-write, so nothing the clone does can
-    reach the original.
-    """
+    """Copy a path so the clone can evolve independently: its two state maps
+    are copied, its frozen connection history is shared."""
     p = TraversalPath.__new__(TraversalPath)
     p.id = new_id
     p.connections = list(path.connections)
     p.env_facts = dict(path.env_facts)
-    p.variants = dict(path.variants)
+    p.changed = dict(path.changed)
     p.fp_head = path.fp_head
     p.started_at = path.started_at
     p.finalized_at = None
     return p
 
 
-def _take_variant(path: TraversalPath, key: OwnerKey, net: Network) -> Variant:
-    """Register a fresh copy of the entity's current values as its variant.
-
-    Every variant is made here as a ``dict`` copy of the base values or of an
-    earlier variant, and rules only overwrite facts the entity already has,
-    so each variant keeps its entity's fact declaration order.
-    """
-    current = path.variants.get(key)
-    base = current.values if current is not None else net.base_values[key]
-    v = path.variants[key] = Variant(key, dict(base))
-    return v
-
-
 def make_connection(
-    path: TraversalPath, from_container: int, link_id: int, to_container: int,
-    conn_id: int, net: Network,
+    from_container: int, link_id: int, to_container: int, conn_id: int
 ) -> Connection:
-    """Create the connection for one traversal step, a move taken from
-    ``net.adjacency``, and register fresh variants for all three entities in
-    the path's active maps."""
-    e1 = _take_variant(path, ("container", from_container), net)
-    lv = _take_variant(path, ("link", link_id), net)
-    e2 = _take_variant(path, ("container", to_container), net)
-    return Connection(conn_id, e1, lv, e2)
+    """The connection for one traversal step, a move taken from
+    ``net.adjacency``."""
+    return Connection(
+        conn_id, ("container", from_container), ("link", link_id), ("container", to_container)
+    )
 
 
-def make_finalization_connection(
-    path: TraversalPath, container: int, conn_id: int, net: Network
-) -> Connection:
-    e1 = _take_variant(path, ("container", container), net)
-    return Connection(conn_id, e1, None, None)
-
-
-def _values(path: TraversalPath, key: OwnerKey, net: Network) -> dict[int, bool]:
-    """The fact values of one owner as the path sees them: its environment,
-    its active variant, or else the base network."""
-    if key == ENV:
-        return path.env_facts
-    v = path.variants.get(key)
-    return v.values if v is not None else net.base_values[key]
+def make_finalization_connection(container: int, conn_id: int) -> Connection:
+    return Connection(conn_id, ("container", container), None, None)
 
 
 def lookup_normal_fact(path: TraversalPath, fact_id: int, net: Network) -> bool:
     """Resolve a fact the way normal rules see it."""
-    return _values(path, net.fact_owner[fact_id], net)[fact_id]
-
-
-def _set_fact(
-    path: TraversalPath, conn: Connection, fact_id: int, value: bool,
-    net: Network, fresh: set[int],
-) -> None:
-    """Set one fact for the rest of the path.  The connection's own variants
-    are in ``fresh`` from the start, so only an entity off the connection is
-    copied, once per assessment."""
     key = net.fact_owner[fact_id]
     if key == ENV:
-        path.env_facts[fact_id] = value
-        conn.env_changes[fact_id] = value
-        return
-    v = path.variants.get(key)
-    if v is None or id(v) not in fresh:
-        v = _take_variant(path, key, net)
-        fresh.add(id(v))
-    v.values[fact_id] = value
+        return path.env_facts[fact_id]
+    return path.changed.get(fact_id, net.base_values[key][fact_id])
 
 
 def apply_normal_postconditions(
-    rule: NormalRule, path: TraversalPath, conn: Connection, net: Network,
-    fresh: set[int],
+    rule: NormalRule, path: TraversalPath, conn: Connection, net: Network
 ) -> None:
+    """Set each postcondition's facts for the rest of the path: one fact, or
+    every fact bound to a property."""
     for post in rule.postconditions:
         if isinstance(post, FactCondition):
-            _set_fact(path, conn, post.fact, post.value, net, fresh)
+            fids = (post.fact,)
         else:
-            for fid in net.facts_with_property.get(post.common_property, ()):
-                _set_fact(path, conn, fid, post.value, net, fresh)
+            fids = net.facts_with_property.get(post.common_property, ())
+        for fid in fids:
+            if net.fact_owner[fid] == ENV:
+                path.env_facts[fid] = conn.env_changes[fid] = post.value
+            else:
+                path.changed[fid] = post.value
 
 
-def _positioned(conn: Connection, position: Position) -> Optional[Variant]:
+def _positioned(conn: Connection, position: Position) -> Optional[OwnerKey]:
     if position is Position.START:
         return conn.entity1
     if position is Position.END:
@@ -300,29 +270,40 @@ def _positioned(conn: Connection, position: Position) -> Optional[Variant]:
     return conn.link
 
 
-def evaluate_generic_rule(rule: GenericRule, conn: Connection, net: Network) -> bool:
+def evaluate_generic_rule(
+    rule: GenericRule, path: TraversalPath, conn: Connection, net: Network
+) -> bool:
     """A generic rule matches when every precondition's entity holds a fact on
     the named property with the required value, and every postcondition's
     property is present on its entity.  Missing entity or property means no
     match.  ``run_rules`` skips rules already triggered on the connection."""
     for cond in rule.preconditions:
-        v = _positioned(conn, cond.position)
-        if v is None:
+        key = _positioned(conn, cond.position)
+        if key is None:
             return False
-        fid = net.prop_fact[v.key].get(cond.common_property)
-        if fid is None or v.values.get(fid) != cond.value:
+        fid = net.prop_fact[key].get(cond.common_property)
+        if fid is None or path.changed.get(fid, net.base_values[key][fid]) != cond.value:
             return False
     for cond in rule.postconditions:
-        v = _positioned(conn, cond.position)
-        if v is None or cond.common_property not in net.prop_fact[v.key]:
+        key = _positioned(conn, cond.position)
+        if key is None or cond.common_property not in net.prop_fact[key]:
             return False
     return True
 
 
-def apply_generic_postconditions(rule: GenericRule, conn: Connection, net: Network) -> None:
+def apply_generic_postconditions(
+    rule: GenericRule, path: TraversalPath, conn: Connection, net: Network
+) -> None:
     for cond in rule.postconditions:
-        v = _positioned(conn, cond.position)
-        v.values[net.prop_fact[v.key][cond.common_property]] = cond.value
+        key = _positioned(conn, cond.position)
+        path.changed[net.prop_fact[key][cond.common_property]] = cond.value
+
+
+def _freeze(path: TraversalPath, key: OwnerKey, net: Network) -> Entity:
+    """The entity under ``key`` as the path now sees it, facts in declaration
+    order, so equal states give equal tuples."""
+    changed = path.changed
+    return Entity(key[1], tuple([(f, changed.get(f, v)) for f, v in net.base_values[key].items()]))
 
 
 def run_rules(
@@ -332,7 +313,8 @@ def run_rules(
     """Assess one connection: per iteration at most one normal rule and one
     generic rule fire (ascending rule ID, first match, no re-triggering).  The
     loop runs while anything fired and stops early once the connection's
-    generic-rule count reaches the configured limit.
+    generic-rule count reaches the configured limit.  Then each entity of the
+    connection is frozen.
 
     On a finalization connection only ``net.final_normal_rules`` and
     ``net.final_generic_rules`` are considered: normal rules whose
@@ -341,7 +323,6 @@ def run_rules(
     """
     triggered = conn.triggered_rules
     tset = set(triggered)
-    fresh = {id(v) for v in (conn.entity1, conn.link, conn.entity2) if v is not None}
     generic_count = 0
     limit = config.generic_rule_limit
     normal_rules = net.final_normal_rules if finalization else net.normal_rules_sorted
@@ -355,41 +336,35 @@ def run_rules(
             if all(lookup_normal_fact(path, c.fact, net) == c.value for c in rule.preconditions):
                 triggered.append(rule.id)
                 tset.add(rule.id)
-                apply_normal_postconditions(rule, path, conn, net, fresh)
+                apply_normal_postconditions(rule, path, conn, net)
                 fired = True
                 break
         if generic_count < limit:
             for rule in generic_rules:
                 if rule.id in tset:
                     continue
-                if evaluate_generic_rule(rule, conn, net):
+                if evaluate_generic_rule(rule, path, conn, net):
                     triggered.append(rule.id)
                     tset.add(rule.id)
-                    apply_generic_postconditions(rule, conn, net)
+                    apply_generic_postconditions(rule, path, conn, net)
                     fired = True
                     generic_count += 1
                     break
         if not fired or generic_count >= limit:
             break
+    conn.entity1 = _freeze(path, conn.entity1, net)
+    if conn.link is not None:
+        conn.link = _freeze(path, conn.link, net)
+        conn.entity2 = _freeze(path, conn.entity2, net)
     return list(triggered)
 
 
 def connection_fingerprint(conn: Connection, env_facts: dict[int, bool]) -> tuple:
-    """Identity of a traversal step: base IDs and fact values of all three
-    entities plus the environment snapshot after assessment.
-
-    No sort is needed: each entity's values, and the environment's, are in
-    its fact declaration order on every path (see ``_take_variant``), so
-    equal states give equal tuples."""
-    def ent(v):
-        return (v.base_id, tuple(v.values.items())) if v is not None else None
-
-    return (
-        ent(conn.entity1),
-        ent(conn.link),
-        ent(conn.entity2),
-        tuple(env_facts.items()),
-    )
+    """Identity of a traversal step: the connection's three frozen entities
+    plus the environment snapshot after assessment.  The environment, like
+    each entity, keeps its fact declaration order on every path, so equal
+    states give equal tuples without a sort."""
+    return (conn.entity1, conn.link, conn.entity2, tuple(env_facts.items()))
 
 
 def _fingerprint_seen(head, h: int, fp: tuple) -> bool:
@@ -401,34 +376,15 @@ def _fingerprint_seen(head, h: int, fp: tuple) -> bool:
     return False
 
 
-class IdSource:
-    """Interleaved ID allocator: worker ``w`` of ``stride`` workers issues
-    ``w, w + stride, w + 2*stride, ...`` so IDs stay globally unique without
-    coordination."""
-
-    __slots__ = ("next", "stride")
-
-    def __init__(self, start: int = 0, stride: int = 1):
-        self.next = start
-        self.stride = stride
-
-    def take(self) -> int:
-        v = self.next
-        self.next += self.stride
-        return v
-
-
 def _filter_satisfied(path: TraversalPath, config: TraversalConfig, net: Network) -> bool:
     if config.completion_filter is None:
         return True
-    values = _values(path, ("container", config.end), net)
-    return evaluate_filter(config.completion_filter, values)
+    end_facts = ChainMap(path.changed, net.base_values[("container", config.end)])
+    return evaluate_filter(config.completion_filter, end_facts)
 
 
-def _run_actions(conn: Connection, net: Network, executor: Optional[ActionExecutor]) -> None:
+def _run_actions(conn: Connection, net: Network, executor: ActionExecutor) -> None:
     """Run the actions of a kept connection's rules, in firing order."""
-    if executor is None:
-        return
     for rule_id in conn.triggered_rules:
         for aid in net.rules_by_id[rule_id].action_ids:
             executor.run(rule_id, net.actions_by_id[aid])
@@ -436,11 +392,11 @@ def _run_actions(conn: Connection, net: Network, executor: Optional[ActionExecut
 
 def expand_path(
     path: TraversalPath, net: Network, config: TraversalConfig,
-    path_ids: IdSource, conn_ids: IdSource,
-    executor: Optional[ActionExecutor] = None,
+    path_ids: Iterator[int], conn_ids: Iterator[int], executor: ActionExecutor,
     step: Optional[Callable[[], None]] = None,
 ) -> tuple[list[TraversalPath], list[TraversalPath]]:
-    """Expand one popped path.  Returns ``(in_progress, finals)``.  Each
+    """Expand one popped path.  Returns ``(in_progress, finals)``.  New paths
+    and connections take their IDs from ``path_ids`` and ``conn_ids``.  Each
     candidate step first calls ``step()``, when one is given; ``search_loop``
     passes one that enforces ``max_steps``.
 
@@ -454,8 +410,8 @@ def expand_path(
     if current == config.end and _filter_satisfied(path, config, net):
         if step is not None:
             step()
-        final = clone_path(path, path_ids.take())
-        conn = make_finalization_connection(final, current, conn_ids.take(), net)
+        final = clone_path(path, next(path_ids))
+        conn = make_finalization_connection(current, next(conn_ids))
         run_rules(final, conn, net, config, finalization=True)
         _run_actions(conn, net, executor)
         final.connections.append(conn)
@@ -466,8 +422,8 @@ def expand_path(
     for link_id, neighbor in net.adjacency.get(current, ()):
         if step is not None:
             step()
-        child = clone_path(path, path_ids.take())
-        conn = make_connection(child, current, link_id, neighbor, conn_ids.take(), net)
+        child = clone_path(path, next(path_ids))
+        conn = make_connection(current, link_id, neighbor, next(conn_ids))
         run_rules(child, conn, net, config)
         fp = connection_fingerprint(conn, child.env_facts)
         h = hash(fp)
@@ -579,12 +535,13 @@ def search_loop(
     scheduler's run-wide counts: the N-th final path stops the run with
     ``max-paths``, even where the search would have ended anyway.  Finalized
     paths go to ``sink`` and into the returned summary, whose timing and
-    stop reason the caller sets."""
-    path_ids = IdSource(scheduler.worker, scheduler.workers)
-    conn_ids = IdSource(scheduler.worker, scheduler.workers)
+    stop reason the caller sets.  With no ``executor``, actions run dry."""
+    executor = executor or ActionExecutor()
+    path_ids = itertools.count(scheduler.worker, scheduler.workers)
+    conn_ids = itertools.count(scheduler.worker, scheduler.workers)
     stack = []
     if scheduler.worker == 0:
-        stack.append(new_seed_path(net, path_ids.take(), scheduler.started))
+        stack.append(new_seed_path(net, next(path_ids), scheduler.started))
     deadline = None if config.stop_wall_clock is None else scheduler.started + config.stop_wall_clock
     max_paths, max_steps = config.stop_max_final_paths, config.max_steps
     step = None
@@ -610,9 +567,8 @@ def search_loop(
                 progress(count)
             if max_paths is not None and count >= max_paths:
                 scheduler.stop(StopReason.MAX_PATHS)
-    if executor is not None:
-        summary.actions_run = len(executor.records)
-        summary.action_failures = sum(1 for r in executor.records if r.status.startswith("failed"))
+    summary.actions_run = len(executor.records)
+    summary.action_failures = sum(1 for r in executor.records if r.status.startswith("failed"))
     return summary
 
 

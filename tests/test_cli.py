@@ -8,6 +8,7 @@ import pytest
 from attackpaths import engine, pathstore
 from attackpaths.cli import _SORT_KEYS, CliError, main, parse_duration
 from attackpaths.engine import run_single
+from attackpaths.model import Container, Link, Network, dump_network
 from attackpaths.pathstore import (
     FINAL_PATHS_TITLE,
     INDEX_TITLE,
@@ -276,6 +277,19 @@ class TestGenValidateDot:
         assert "No such file or directory" in captured.err
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (("chain",), "chain needs n >= 2"),
+        (("chain", "--n", "1"), "chain needs n >= 2"),
+        (("complete", "--n", "2"), "complete needs n >= 3"),
+        (("layered", "--width", "2"), "layered needs width >= 1 and depth >= 1"),
+    ])
+    def test_gen_bad_size_is_an_error_line(self, argv, message, capsys):
+        rc = run_cli("gen", "--topology", *argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_gen_validate_run_cycle(self, tmp_path, capsys):
         model = tmp_path / "chain.json"
         rc = run_cli("gen", "--topology", "chain", "--n", "5", "--template",
@@ -349,6 +363,21 @@ class TestGenValidateDot:
         assert rc == 0
         assert 'c1 -> c2 [label="L1"];' in out
         assert 'c2 -> c3 [label="L2", dir=none];' in out
+
+    def test_export_dot_escapes_labels(self, tmp_path, capsys):
+        net = Network(
+            containers=(Container(1, 'a"b'), Container(2, "c\\d")),
+            links=(Link(1, 'say "hi" \\o/', 1, 2, True),),
+        )
+        model = tmp_path / "quotes.json"
+        model.write_text(dump_network(net))
+        assert run_cli("export-dot", "--model", str(model)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:4] == [
+            '  c1 [label="a\\"b"];',
+            '  c2 [label="c\\\\d"];',
+            '  c1 -> c2 [label="say \\"hi\\" \\\\o/"];',
+        ]
 
 
 class TestCompare:

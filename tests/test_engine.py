@@ -36,6 +36,7 @@ from attackpaths.model import (
     ModelValidationError,
     Network,
     NormalRule,
+    load_network_file,
 )
 from attackpaths.pathstore import FINAL_PATHS_TITLE, INDEX_TITLE, worker_file
 from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
@@ -212,6 +213,17 @@ class TestSingleWorkerEquivalence:
                 assert (s1.total_final_paths, s1.total_connections, s1.total_rules_triggered) == (1, 6, 8)
             if case == "action":
                 assert s1.actions_run == 1
+
+    def test_actions_run_dry_without_an_executor_in_every_entry_point(self, tmp_path):
+        sys.path.insert(0, str(Path(__file__).parents[1] / "benchmarks"))
+        import workloads
+
+        w = workloads.build("rule-heavy", 1, "tiny")
+        flt = bind_filter(parse_filter(w.filter_text), w.network, w.end)
+        cfg = TraversalConfig(start=w.start, end=w.end, completion_filter=flt)
+        searched = single_threaded_search(w.network, cfg, lambda path: None)
+        _, stored = run_single(w.network, cfg, tmp_path)
+        assert searched.actions_run == stored.actions_run == 28
 
 
 class TestMultiWorker:
@@ -466,6 +478,8 @@ def bad_input(case):
     """A network and config that no run may start, with the error and its text."""
     layered = generate_model(SyntheticSpec("layered", width=2, depth=2))
     start, end = start_and_end(layered)
+    fixture = load_network_file(Path(__file__).parents[1] / "models" / "filter_test.json")
+    chain = generate_model(SyntheticSpec("chain", n=3, template="no_revisit"))
     return {
         "broken-net": (broken_net(), TraversalConfig(start=1, end=3), ModelValidationError,
                        "link 1: traversal_chance 'not-a-number' is not a number"),
@@ -476,6 +490,13 @@ def bad_input(case):
                    "unknown end container 99"),
         "start-99": (layered, TraversalConfig(start=99, end=end), TraversalError,
                      "unknown start container 99"),
+        "unbound-filter": (fixture, TraversalConfig(1, 2, completion_filter=parse_filter("F4:T")),
+                           TraversalError,
+                           "filter atom 'F4' is not bound to a fact of end container 2"),
+        "filter-on-C2": (chain, TraversalConfig(1, 3, completion_filter=bind_filter(
+                             parse_filter("visited_C2:T"), chain, 2)),
+                         TraversalError,
+                         "filter atom 'visited_C2' is not bound to a fact of end container 3"),
     }[case]
 
 
@@ -486,11 +507,14 @@ def start_run(mode, net, cfg, out_dir):
 
 
 class TestBoundary:
-    """A run checks its network and endpoints before it touches its
-    directory, and clears every file of its own if anything fails after."""
+    """A run checks its network, endpoints and completion filter before it
+    touches its directory, and clears every file of its own if anything fails
+    after."""
 
     @pytest.mark.parametrize("mode", ["single", "multi"])
-    @pytest.mark.parametrize("case", ["broken-net", "unknown-fact", "end-99", "start-99"])
+    @pytest.mark.parametrize("case", [
+        "broken-net", "unknown-fact", "end-99", "start-99", "unbound-filter", "filter-on-C2",
+    ])
     def test_bad_input_leaves_the_earlier_run(self, case, mode, tmp_path, capsys):
         net, cfg, error, message = bad_input(case)
         layered = generate_model(SyntheticSpec("layered", width=2, depth=2))

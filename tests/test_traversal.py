@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from itertools import count
 
 import pytest
 
@@ -22,7 +23,6 @@ from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
 from attackpaths.traversal import (
     ActionExecutor,
     ActionMode,
-    IdSource,
     LocalScheduler,
     RunSummary,
     StepBudgetExceeded,
@@ -141,7 +141,7 @@ class TestScenarios:
 def one_connection(net, config=None):
     cfg = config or TraversalConfig(start=1, end=2)
     path = new_seed_path(net, 0, 0.0)
-    conn = make_connection(path, 1, 1, 2, 0, net)
+    conn = make_connection(1, 1, 2, 0)
     return path, conn, cfg
 
 
@@ -278,7 +278,7 @@ class TestRunRules:
         from attackpaths.traversal import make_finalization_connection
 
         path = new_seed_path(net, 0, 0.0)
-        conn = make_finalization_connection(path, 1, 0, net)
+        conn = make_finalization_connection(1, 0)
         cfg = TraversalConfig(start=1, end=1)
         triggered = run_rules(path, conn, net, cfg, finalization=True)
         # Only the env-only normal rule and the start-only generic rule may
@@ -300,13 +300,14 @@ class TestConnections:
 
     def test_undirected_link_both_ways(self, filter_net):
         path = new_seed_path(filter_net, 0, 0.0)
-        make_connection(path, 3, 2, 2, 0, filter_net)
+        conn = make_connection(3, 2, 2, 0)
+        run_rules(path, conn, filter_net, TraversalConfig(start=3, end=2))
+        assert (conn.entity1.base_id, conn.link.base_id, conn.entity2.base_id) == (3, 2, 2)
 
     def test_variant_lookup_beats_base(self, filter_net):
         path = new_seed_path(filter_net, 0, 0.0)
-        conn = make_connection(path, 1, 1, 2, 0, filter_net)
         assert lookup_normal_fact(path, 4, filter_net) is False
-        conn.entity2.values[4] = True
+        path.changed[4] = True
         assert lookup_normal_fact(path, 4, filter_net) is True
         assert filter_net.base_values[("container", 2)][4] is False
 
@@ -314,45 +315,43 @@ class TestConnections:
 class TestIsolation:
     def test_expand_leaves_input_untouched(self, filter_net):
         cfg = fixture_config(filter_net, "F4:T")
-        ids = IdSource(1, 1)
-        conns = IdSource(0, 1)
+        ids = count(1)
+        conns = count()
         p = new_seed_path(filter_net, 0, 0.0)
         for _ in range(2):
-            (p,), _ = expand_path(p, filter_net, cfg, ids, conns)
-        snapshot = {
-            k: dict(v.values) for k, v in p.variants.items()
-        }
+            (p,), _ = expand_path(p, filter_net, cfg, ids, conns, ActionExecutor())
+        snapshot = dict(p.changed), dict(p.env_facts)
         n_conns = len(p.connections)
-        expand_path(p, filter_net, cfg, ids, conns)
+        expand_path(p, filter_net, cfg, ids, conns, ActionExecutor())
         assert len(p.connections) == n_conns
-        assert {k: dict(v.values) for k, v in p.variants.items()} == snapshot
+        assert (p.changed, p.env_facts) == snapshot
 
     def test_sibling_branches_do_not_share_state(self):
         net = generate_model(SyntheticSpec("complete", n=3, template="no_revisit"))
         cfg = TraversalConfig(start=1, end=3)
-        ids = IdSource(1, 1)
-        conns = IdSource(0, 1)
+        ids = count(1)
+        conns = count()
         seed = new_seed_path(net, 0, 0.0)
-        branches, _ = expand_path(seed, net, cfg, ids, conns)
+        branches, _ = expand_path(seed, net, cfg, ids, conns, ActionExecutor())
         assert len(branches) == 2
         by_target = {b.connections[0].entity2.base_id: b for b in branches}
         # The branch into C2 marked C2 visited; the sibling never saw C2.
-        assert by_target[2].variants[("container", 2)].values[2] is True
-        assert ("container", 2) not in by_target[3].variants
-        assert seed.variants == {}
+        assert by_target[2].changed[2] is True
+        assert 2 not in by_target[3].changed
+        assert seed.changed == {}
 
     def test_clone_copies_maps_but_shares_history(self, filter_net):
         cfg = fixture_config(filter_net)
-        ids = IdSource(1, 1)
-        conns = IdSource(0, 1)
+        ids = count(1)
+        conns = count()
         p = new_seed_path(filter_net, 0, 0.0)
-        (p,), _ = expand_path(p, filter_net, cfg, ids, conns)
+        (p,), _ = expand_path(p, filter_net, cfg, ids, conns, ActionExecutor())
         q = clone_path(p, 99)
         assert q.id == 99
         assert q.connections == p.connections  # same objects, shared history
         assert q.connections is not p.connections
-        assert q.variants == p.variants
-        assert q.variants is not p.variants
+        assert q.changed == p.changed
+        assert q.changed is not p.changed
         assert q.fp_head is p.fp_head
 
 
@@ -361,20 +360,20 @@ class TestFingerprints:
         """A seed on C1 whose fingerprint chain already holds the state the
         crossing C1 -L1-> C2 produces."""
         seed = new_seed_path(net, 0, 0.0)
-        (branch,), _ = expand_path(seed, net, cfg, IdSource(1, 1), IdSource(0, 1))
+        (branch,), _ = expand_path(seed, net, cfg, count(1), count(), ActionExecutor())
         seed.fp_head = branch.fp_head
         return seed
 
     def test_repeat_state_is_seen(self, filter_net):
         cfg = fixture_config(filter_net)
         seed = self.seed_with_repeated_crossing(filter_net, cfg)
-        assert expand_path(seed, filter_net, cfg, IdSource(1, 1), IdSource(0, 1)) == ([], [])
+        assert expand_path(seed, filter_net, cfg, count(1), count(), ActionExecutor()) == ([], [])
 
     def test_env_change_differentiates(self, filter_net):
         cfg = fixture_config(filter_net)
         seed = self.seed_with_repeated_crossing(filter_net, cfg)
         seed.env_facts[999] = True
-        branches, _ = expand_path(seed, filter_net, cfg, IdSource(1, 1), IdSource(0, 1))
+        branches, _ = expand_path(seed, filter_net, cfg, count(1), count(), ActionExecutor())
         assert len(branches) == 1
 
     @pytest.mark.parametrize("seed", range(5))
@@ -392,7 +391,7 @@ class TestFingerprints:
         cfg = TraversalConfig(start=1, end=max(c.id for c in net.containers), max_steps=100_000)
 
         def every_kept_path(net):
-            ids, conns = IdSource(1, 1), IdSource(0, 1)
+            ids, conns = count(1), count()
             steps = LocalScheduler(0.0)
 
             def step():
@@ -400,7 +399,9 @@ class TestFingerprints:
 
             stack, kept = [new_seed_path(net, 0, 0.0)], []
             while stack:
-                branches, finals = expand_path(stack.pop(), net, cfg, ids, conns, step=step)
+                branches, finals = expand_path(
+                    stack.pop(), net, cfg, ids, conns, ActionExecutor(), step
+                )
                 stack.extend(branches)
                 kept += branches + finals
             return canonical_paths(kept)
