@@ -80,8 +80,8 @@ def _assess(net, state, slots, limit, final):
     generics = sorted(net.generic_rules, key=lambda r: r.id)
     if final:
         normals = [r for r in normals if all(c.fact in state[ENV] for c in r.preconditions)]
-        generics = [r for r in generics
-                    if all(c.position is Position.START for c in r.preconditions + r.postconditions)]
+        generics = [r for r in generics if all(
+            c.position is Position.START for c in r.preconditions + r.postconditions)]
     fired, env_set, generic_count = [], {}, 0
 
     def owner(fid):
@@ -93,12 +93,14 @@ def _assess(net, state, slots, limit, final):
         if key == ENV:
             env_set[fid] = value
 
+    def fact_at(cond):
+        key = slots[cond.position]
+        return None if key is None else _fact_on(net, key, cond.common_property)
+
     def generic_applies(rule):
-        for c in rule.preconditions + rule.postconditions:
-            if slots[c.position] is None or _fact_on(net, slots[c.position], c.common_property) is None:
-                return False
-        return all(state[slots[c.position]][_fact_on(net, slots[c.position], c.common_property)]
-                   == c.value for c in rule.preconditions)
+        if any(fact_at(c) is None for c in rule.preconditions + rule.postconditions):
+            return False
+        return all(state[slots[c.position]][fact_at(c)] == c.value for c in rule.preconditions)
 
     while True:
         progress = False
@@ -121,8 +123,7 @@ def _assess(net, state, slots, limit, final):
                 if rule.id not in fired and generic_applies(rule):
                     fired.append(rule.id)
                     for c in rule.postconditions:
-                        key = slots[c.position]
-                        state[key][_fact_on(net, key, c.common_property)] = c.value
+                        state[slots[c.position]][fact_at(c)] = c.value
                     generic_count += 1
                     progress = True
                     break
