@@ -17,13 +17,20 @@ return modified copies and never touch the original.
 
 Each fact has one owner, named by its owner key: ``("container", id)``,
 ``("link", id)`` or ``ENV``.  ``Network.fact_owner`` maps a fact ID to that
-key, and the derived tables are keyed by it: ``base_values[key]`` holds the
-owner's initial fact values in declaration order, and ``prop_fact[key]`` maps
-a common property to the owner's fact on it.  ``final_normal_rules`` (normal
-rules reading environment facts only) and ``final_generic_rules`` (generic
-rules naming the start container only) are the rules a finalization
-connection may fire, in ascending ID like ``normal_rules_sorted`` and
-``generic_rules_sorted``.
+key.  ``base_facts`` is the flat base table, every fact's initial value by
+fact ID; ``base_values[key]`` holds one owner's initial values in
+declaration order, and ``prop_fact[key]`` maps a common property to the
+owner's fact on it.
+
+Rules run in one compiled form, ``(rule_id, pre, post)``, where ``pre`` and
+``post`` hold ``(fact_id, value)`` pairs: the rule fires when every ``pre``
+fact has its value, and then sets each ``post`` fact in order.  Normal rules
+compile once per network, in ascending ID: ``normal_table``, and
+``final_normal_table``, the rules reading environment facts only, which are
+all a finalization connection may fire.  Generic rules compile per
+connection shape, the owner keys of its start container, link and end
+container, on first use: ``generic_table`` caches each shape's table on the
+network and shares equal pairs across tables.
 """
 
 from __future__ import annotations
@@ -168,6 +175,10 @@ Rule = Union[NormalRule, GenericRule]
 OwnerKey = tuple[str, Optional[int]]
 ENV: OwnerKey = ("env", None)
 
+# A rule compiled to (rule ID, preconditions, postconditions), each condition
+# a (fact ID, value) pair.
+CompiledRule = tuple[int, tuple[tuple[int, bool], ...], tuple[tuple[int, bool], ...]]
+
 
 @dataclass(frozen=True)
 class Network:
@@ -210,8 +221,8 @@ class Network:
         set_("facts_by_id", facts_by_id)
         set_("fact_owner", fact_owner)
         set_("base_values", base_values)
+        set_("base_facts", {f: v for values in base_values.values() for f, v in values.items()})
         set_("prop_fact", prop_fact)
-        set_("facts_with_property", {p: tuple(v) for p, v in facts_with_property.items()})
 
         adjacency: dict[int, list[tuple[int, int]]] = {c.id: [] for c in self.containers}
         for l in self.links:
@@ -221,22 +232,59 @@ class Network:
                     adjacency[l.endpoint_b].append((l.id, l.endpoint_a))
         set_("adjacency", {c: tuple(sorted(v)) for c, v in adjacency.items()})
 
-        normal = tuple(sorted(self.normal_rules, key=lambda r: r.id))
-        generic = tuple(sorted(self.generic_rules, key=lambda r: r.id))
-        set_("normal_rules_sorted", normal)
-        set_("generic_rules_sorted", generic)
-        set_("final_normal_rules", tuple(
-            r for r in normal if all(fact_owner.get(c.fact) == ENV for c in r.preconditions)
-        ))
-        set_("final_generic_rules", tuple(
-            r for r in generic
-            if all(c.position is Position.START for c in r.preconditions + r.postconditions)
-        ))
+        # The rule-table cache: generic tables by connection shape, and one
+        # copy of each (fact ID, value) pair that any table holds.
+        set_("_generic_tables", {})
+        set_("_pairs", {})
+        normal = []
+        for r in sorted(self.normal_rules, key=lambda r: r.id):
+            post = []
+            for p in r.postconditions:
+                if isinstance(p, FactCondition):
+                    post.append((p.fact, p.value))
+                else:
+                    post += [(f, p.value) for f in facts_with_property.get(p.common_property, ())]
+            normal.append(self._compile(r.id, [(c.fact, c.value) for c in r.preconditions], post))
+        env = base_values[ENV]
+        set_("normal_table", tuple(normal))
+        set_("final_normal_table", tuple(r for r in normal if all(f in env for f, _ in r[1])))
+        set_("generic_rules_sorted", tuple(sorted(self.generic_rules, key=lambda r: r.id)))
         rules_by_id: dict[int, Rule] = {}
         for r in self.normal_rules + self.generic_rules:
             rules_by_id[r.id] = r
         set_("rules_by_id", rules_by_id)
-        set_("generic_rule_ids", frozenset(r.id for r in self.generic_rules))
+
+    def _compile(self, rule_id: int, pre: list, post: list) -> CompiledRule:
+        pair = self._pairs.setdefault
+        return (rule_id, tuple([pair(p, p) for p in pre]), tuple([pair(p, p) for p in post]))
+
+    def generic_table(
+        self, entity1: OwnerKey, link: Optional[OwnerKey], entity2: Optional[OwnerKey]
+    ) -> tuple[CompiledRule, ...]:
+        """The generic rules that can fire on a connection from ``entity1``
+        over ``link`` to ``entity2``, compiled, in ascending ID.  A
+        finalization connection has no link and no end container.  A rule
+        naming an absent position, or a property its entity holds no fact
+        on, can never match there and is left out."""
+        shape = (entity1, link, entity2)
+        table = self._generic_tables.get(shape)
+        if table is None:
+            start, on_link, end = (self.prop_fact.get(owner, {}) for owner in shape)
+            START, LINK = Position.START, Position.LINK
+            table = []
+            for r in self.generic_rules_sorted:
+                pairs = []
+                for c in r.preconditions + r.postconditions:
+                    at = start if c.position is START else on_link if c.position is LINK else end
+                    fid = at.get(c.common_property)
+                    if fid is None:
+                        break
+                    pairs.append((fid, c.value))
+                else:
+                    n = len(r.preconditions)
+                    table.append(self._compile(r.id, pairs[:n], pairs[n:]))
+            table = self._generic_tables[shape] = tuple(table)
+        return table
 
 
 def validate_network(net: Network) -> list[str]:

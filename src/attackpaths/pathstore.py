@@ -208,7 +208,7 @@ def path_to_record(path: TraversalPath) -> PathRecord:
             )
             for c in path.connections
         ),
-        env_facts=tuple(path.env_facts.items()),
+        env_facts=path.connections[-1].env,
     )
 
 

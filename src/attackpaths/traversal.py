@@ -1,20 +1,24 @@
 """Exhaustive path enumeration over a network model.
 
 A traversal grows paths connection by connection.  A path's state is the
-base network plus two maps: its environment and ``changed``, the container
-and link facts a rule has set on this path.  Rules read and write through
-them, and a clone copies only these two maps.  A connection names the three
-entities it touches (start container, link, end container) by owner key;
-once its rules have run, each is frozen into an ``Entity`` tuple of base ID
-and fact values.  A path therefore carries a full history of entity states.
+base network plus one map, ``changed``: the facts a rule has set on this
+path, environment facts included.  A fact reads as
+``changed.get(fid, net.base_facts[fid])``, and a clone copies only that
+map.  Rules run from the network's compiled tables (see ``model``): the
+normal tables, and the generic table of the connection's shape, cached on
+the network.  A connection names the three entities it touches (start
+container, link, end container) by owner key; once its rules have run, each
+is frozen into an ``Entity`` tuple of base ID and fact values, and the
+environment into a tuple of fact values beside them.  A path therefore
+carries a full history of entity and environment states.
 
 Two admission checks keep the search finite and meaningful:
 
+* a candidate must have triggered at least one generic rule, otherwise the
+  move is considered impossible, and
 * a candidate connection is dropped when an earlier connection of the same
   path has an identical fingerprint (entity IDs plus fact values plus the
-  environment snapshot taken after rule assessment), and
-* a candidate must have triggered at least one generic rule, otherwise the
-  move is considered impossible.
+  environment snapshot taken after rule assessment).
 
 Paths that sit on the end container (and satisfy the completion filter, when
 one is set) are finalized: they receive one last connection holding only the
@@ -39,17 +43,7 @@ from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .filters import FilterExpr, evaluate_filter, filter_atoms
-from .model import (
-    ENV,
-    FactCondition,
-    GenericRule,
-    ModelValidationError,
-    Network,
-    NormalRule,
-    OwnerKey,
-    Position,
-    validate_network,
-)
+from .model import ENV, ModelValidationError, Network, validate_network
 
 
 class TraversalError(Exception):
@@ -166,32 +160,33 @@ class Entity(NamedTuple):
 class Connection:
     """One traversal step.  ``entity1``, ``link`` and ``entity2`` are the
     start container, the link and the end container, None where absent: owner
-    keys until ``run_rules`` freezes each into an ``Entity``."""
+    keys until ``run_rules`` freezes each into an ``Entity``, and ``env`` into
+    the environment's fact values in declaration order.  ``env`` stays None
+    on a step where no generic rule fired, which is then dropped unfrozen."""
 
-    __slots__ = ("id", "entity1", "link", "entity2", "triggered_rules", "env_changes")
+    __slots__ = ("id", "entity1", "link", "entity2", "env", "triggered_rules", "env_changes")
 
     def __init__(self, cid: int, entity1, link, entity2):
         self.id = cid
         self.entity1 = entity1
         self.link = link
         self.entity2 = entity2
+        self.env: Optional[tuple[tuple[int, bool], ...]] = None
         self.triggered_rules: list[int] = []
         self.env_changes: dict[int, bool] = {}
 
 
 class TraversalPath:
-    """A path's state is the base network plus two maps: ``env_facts``, the
-    whole environment, and ``changed``, the container and link facts a rule
-    has set on this path.  Every other fact keeps its base value."""
+    """A path's state is the base network plus one map, ``changed``: the
+    facts a rule has set on this path.  Every other fact keeps its base
+    value.  The environment the path ends in is its last connection's
+    ``env``."""
 
-    __slots__ = (
-        "id", "connections", "env_facts", "changed", "fp_head", "started_at", "finalized_at",
-    )
+    __slots__ = ("id", "connections", "changed", "fp_head", "started_at", "finalized_at")
 
-    def __init__(self, pid: int, env_facts: dict[int, bool], started_at: float):
+    def __init__(self, pid: int, started_at: float):
         self.id = pid
         self.connections: list[Connection] = []
-        self.env_facts = env_facts
         self.changed: dict[int, bool] = {}
         # Fingerprint history as a shared immutable chain, so clones are O(1).
         self.fp_head: Optional[tuple] = None
@@ -205,17 +200,12 @@ class TraversalPath:
         return (last.entity2 or last.entity1).base_id
 
 
-def new_seed_path(net: Network, path_id: int, started_at: float) -> TraversalPath:
-    return TraversalPath(path_id, dict(net.base_values[ENV]), started_at)
-
-
 def clone_path(path: TraversalPath, new_id: int) -> TraversalPath:
-    """Copy a path so the clone can evolve independently: its two state maps
-    are copied, its frozen connection history is shared."""
+    """Copy a path so the clone can evolve independently: its state map is
+    copied, its frozen connection history is shared."""
     p = TraversalPath.__new__(TraversalPath)
     p.id = new_id
     p.connections = list(path.connections)
-    p.env_facts = dict(path.env_facts)
     p.changed = dict(path.changed)
     p.fp_head = path.fp_head
     p.started_at = path.started_at
@@ -237,134 +227,74 @@ def make_finalization_connection(container: int, conn_id: int) -> Connection:
     return Connection(conn_id, ("container", container), None, None)
 
 
-def lookup_normal_fact(path: TraversalPath, fact_id: int, net: Network) -> bool:
-    """Resolve a fact the way normal rules see it."""
-    key = net.fact_owner[fact_id]
-    if key == ENV:
-        return path.env_facts[fact_id]
-    return path.changed.get(fact_id, net.base_values[key][fact_id])
-
-
-def apply_normal_postconditions(
-    rule: NormalRule, path: TraversalPath, conn: Connection, net: Network
-) -> None:
-    """Set each postcondition's facts for the rest of the path: one fact, or
-    every fact bound to a property."""
-    for post in rule.postconditions:
-        if isinstance(post, FactCondition):
-            fids = (post.fact,)
-        else:
-            fids = net.facts_with_property.get(post.common_property, ())
-        for fid in fids:
-            if net.fact_owner[fid] == ENV:
-                path.env_facts[fid] = conn.env_changes[fid] = post.value
-            else:
-                path.changed[fid] = post.value
-
-
-def _positioned(conn: Connection, position: Position) -> Optional[OwnerKey]:
-    if position is Position.START:
-        return conn.entity1
-    if position is Position.END:
-        return conn.entity2
-    return conn.link
-
-
-def evaluate_generic_rule(
-    rule: GenericRule, path: TraversalPath, conn: Connection, net: Network
-) -> bool:
-    """A generic rule matches when every precondition's entity holds a fact on
-    the named property with the required value, and every postcondition's
-    property is present on its entity.  Missing entity or property means no
-    match.  ``run_rules`` skips rules already triggered on the connection."""
-    for cond in rule.preconditions:
-        key = _positioned(conn, cond.position)
-        if key is None:
-            return False
-        fid = net.prop_fact[key].get(cond.common_property)
-        if fid is None or path.changed.get(fid, net.base_values[key][fid]) != cond.value:
-            return False
-    for cond in rule.postconditions:
-        key = _positioned(conn, cond.position)
-        if key is None or cond.common_property not in net.prop_fact[key]:
-            return False
-    return True
-
-
-def apply_generic_postconditions(
-    rule: GenericRule, path: TraversalPath, conn: Connection, net: Network
-) -> None:
-    for cond in rule.postconditions:
-        key = _positioned(conn, cond.position)
-        path.changed[net.prop_fact[key][cond.common_property]] = cond.value
-
-
-def _freeze(path: TraversalPath, key: OwnerKey, net: Network) -> Entity:
-    """The entity under ``key`` as the path now sees it, facts in declaration
-    order, so equal states give equal tuples."""
-    changed = path.changed
-    return Entity(key[1], tuple([(f, changed.get(f, v)) for f, v in net.base_values[key].items()]))
+def _freeze(changed: dict[int, bool], base: dict[int, bool]) -> tuple[tuple[int, bool], ...]:
+    """An owner's facts as the path now sees them, in declaration order, so
+    equal states give equal tuples."""
+    return tuple([(f, changed.get(f, v)) for f, v in base.items()])
 
 
 def run_rules(
-    path: TraversalPath, conn: Connection, net: Network, config: TraversalConfig,
-    finalization: bool = False,
+    path: TraversalPath, conn: Connection, net: Network, config: TraversalConfig
 ) -> list[int]:
     """Assess one connection: per iteration at most one normal rule and one
     generic rule fire (ascending rule ID, first match, no re-triggering).  The
     loop runs while anything fired and stops early once the connection's
-    generic-rule count reaches the configured limit.  Then each entity of the
-    connection is frozen.
+    generic-rule count reaches the configured limit.
 
-    On a finalization connection only ``net.final_normal_rules`` and
-    ``net.final_generic_rules`` are considered: normal rules whose
-    preconditions read environment facts exclusively, and generic rules whose
-    conditions mention the start container exclusively.
+    A finalization connection, the one without a link, considers only
+    ``net.final_normal_table``, the normal rules whose preconditions read
+    environment facts exclusively, and its generic table holds only the
+    rules whose conditions mention the start container exclusively.  The
+    connection's entities and environment are then frozen, on a step only
+    when a generic rule fired: ``expand_path`` drops the others.
     """
-    triggered = conn.triggered_rules
-    tset = set(triggered)
+    finalization = conn.link is None
+    tables = (
+        net.final_normal_table if finalization else net.normal_table,
+        net.generic_table(conn.entity1, conn.link, conn.entity2),
+    )
+    changed, base, env = path.changed, net.base_facts, net.base_values[ENV]
+    triggered, env_changes = conn.triggered_rules, conn.env_changes
+    tset = set()
     generic_count = 0
     limit = config.generic_rule_limit
-    normal_rules = net.final_normal_rules if finalization else net.normal_rules_sorted
-    generic_rules = net.final_generic_rules if finalization else net.generic_rules_sorted
 
     while True:
         fired = False
-        for rule in normal_rules:
-            if rule.id in tset:
-                continue
-            if all(lookup_normal_fact(path, c.fact, net) == c.value for c in rule.preconditions):
-                triggered.append(rule.id)
-                tset.add(rule.id)
-                apply_normal_postconditions(rule, path, conn, net)
-                fired = True
-                break
-        if generic_count < limit:
-            for rule in generic_rules:
-                if rule.id in tset:
+        for is_generic, table in enumerate(tables):
+            for rule_id, pre, post in table:
+                if rule_id in tset:
                     continue
-                if evaluate_generic_rule(rule, path, conn, net):
-                    triggered.append(rule.id)
-                    tset.add(rule.id)
-                    apply_generic_postconditions(rule, path, conn, net)
+                for fid, value in pre:
+                    if changed.get(fid, base[fid]) != value:
+                        break
+                else:
+                    triggered.append(rule_id)
+                    tset.add(rule_id)
+                    for fid, value in post:
+                        changed[fid] = value
+                        if fid in env:
+                            env_changes[fid] = value
                     fired = True
-                    generic_count += 1
+                    generic_count += is_generic
                     break
         if not fired or generic_count >= limit:
             break
-    conn.entity1 = _freeze(path, conn.entity1, net)
-    if conn.link is not None:
-        conn.link = _freeze(path, conn.link, net)
-        conn.entity2 = _freeze(path, conn.entity2, net)
+    if generic_count or finalization:
+        values = net.base_values
+        conn.entity1 = Entity(conn.entity1[1], _freeze(changed, values[conn.entity1]))
+        if not finalization:
+            conn.link = Entity(conn.link[1], _freeze(changed, values[conn.link]))
+            conn.entity2 = Entity(conn.entity2[1], _freeze(changed, values[conn.entity2]))
+        conn.env = _freeze(changed, env)
     return list(triggered)
 
 
-def connection_fingerprint(conn: Connection, env_facts: dict[int, bool]) -> tuple:
+def connection_fingerprint(conn: Connection) -> tuple:
     """Identity of a traversal step: the connection's three frozen entities
-    plus the environment snapshot after assessment.  The environment, like
-    each entity, keeps its fact declaration order on every path, so equal
-    states give equal tuples without a sort."""
-    return (conn.entity1, conn.link, conn.entity2, tuple(env_facts.items()))
+    plus its environment snapshot.  Each keeps its fact declaration order on
+    every path, so equal states give equal tuples without a sort."""
+    return (conn.entity1, conn.link, conn.entity2, conn.env)
 
 
 def _fingerprint_seen(head, h: int, fp: tuple) -> bool:
@@ -402,8 +332,8 @@ def expand_path(
 
     A path sitting on the end container with its filter satisfied finalizes
     and emits no branches.  Otherwise one clone per legal link crossing is
-    assessed; clones failing the fingerprint check or triggering no generic
-    rule are dropped.  Rule actions run only for kept connections and on
+    assessed; clones triggering no generic rule or failing the fingerprint
+    check are dropped.  Rule actions run only for kept connections and on
     finalization, never for a dropped clone.
     """
     current = path.current_container(config)
@@ -412,7 +342,7 @@ def expand_path(
             step()
         final = clone_path(path, next(path_ids))
         conn = make_finalization_connection(current, next(conn_ids))
-        run_rules(final, conn, net, config, finalization=True)
+        run_rules(final, conn, net, config)
         _run_actions(conn, net, executor)
         final.connections.append(conn)
         final.finalized_at = time.perf_counter()
@@ -425,11 +355,11 @@ def expand_path(
         child = clone_path(path, next(path_ids))
         conn = make_connection(current, link_id, neighbor, next(conn_ids))
         run_rules(child, conn, net, config)
-        fp = connection_fingerprint(conn, child.env_facts)
+        if conn.env is None:  # no generic rule fired, so run_rules froze nothing
+            continue
+        fp = connection_fingerprint(conn)
         h = hash(fp)
         if _fingerprint_seen(child.fp_head, h, fp):
-            continue
-        if not any(rid in net.generic_rule_ids for rid in conn.triggered_rules):
             continue
         _run_actions(conn, net, executor)
         child.connections.append(conn)
@@ -535,13 +465,14 @@ def search_loop(
     scheduler's run-wide counts: the N-th final path stops the run with
     ``max-paths``, even where the search would have ended anyway.  Finalized
     paths go to ``sink`` and into the returned summary, whose timing and
-    stop reason the caller sets.  With no ``executor``, actions run dry."""
+    stop reason the caller sets.  With no ``executor``, actions run dry; the
+    summary counts only the action records this search adds."""
     executor = executor or ActionExecutor()
     path_ids = itertools.count(scheduler.worker, scheduler.workers)
     conn_ids = itertools.count(scheduler.worker, scheduler.workers)
     stack = []
     if scheduler.worker == 0:
-        stack.append(new_seed_path(net, next(path_ids), scheduler.started))
+        stack.append(TraversalPath(next(path_ids), scheduler.started))
     deadline = None if config.stop_wall_clock is None else scheduler.started + config.stop_wall_clock
     max_paths, max_steps = config.stop_max_final_paths, config.max_steps
     step = None
@@ -551,6 +482,7 @@ def search_loop(
                 raise StepBudgetExceeded(f"step budget of {max_steps} exceeded")
 
     summary = RunSummary()
+    first_record = len(executor.records)
     while scheduler.keep_going(stack):
         if deadline is not None and time.perf_counter() > deadline:
             scheduler.stop(StopReason.TIME_LIMIT)
@@ -567,8 +499,9 @@ def search_loop(
                 progress(count)
             if max_paths is not None and count >= max_paths:
                 scheduler.stop(StopReason.MAX_PATHS)
-    summary.actions_run = len(executor.records)
-    summary.action_failures = sum(1 for r in executor.records if r.status.startswith("failed"))
+    records = executor.records[first_record:]
+    summary.actions_run = len(records)
+    summary.action_failures = sum(1 for r in records if r.status.startswith("failed"))
     return summary
 
 

@@ -240,11 +240,12 @@ def test_criterion_6_loop_safety():
             )
             finals, summary = search(net, cfg)  # raises past the step budget
             assert summary.stop_reason is StopReason.EXHAUSTED, seed
+            generic_ids = {r.id for r in net.generic_rules}
             for path in finals:
                 longest = max(longest, len(path.connections))
                 for conn in path.connections:
                     generics = [
-                        r for r in conn.triggered_rules if r in net.generic_rule_ids
+                        r for r in conn.triggered_rules if r in generic_ids
                     ]
                     assert len(generics) <= limit, seed
         elapsed = time.perf_counter() - t0

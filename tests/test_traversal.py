@@ -28,15 +28,15 @@ from attackpaths.traversal import (
     StepBudgetExceeded,
     StopReason,
     TraversalConfig,
-    apply_normal_postconditions,
+    TraversalPath,
     clone_path,
     expand_path,
-    lookup_normal_fact,
     make_connection,
-    new_seed_path,
+    make_finalization_connection,
     run_rules,
     single_threaded_search,
 )
+from attackpaths.pathstore import path_to_record
 
 from support import action_model, canonical_paths, random_model, rules_model
 
@@ -135,12 +135,12 @@ class TestScenarios:
 
     def test_final_env_is_base_env(self, filter_net):
         finals, _ = run_search(filter_net, fixture_config(filter_net))
-        assert finals[0].env_facts == {}
+        assert path_to_record(finals[0]).env_facts == ()
 
 
 def one_connection(net, config=None):
     cfg = config or TraversalConfig(start=1, end=2)
-    path = new_seed_path(net, 0, 0.0)
+    path = TraversalPath(0, 0.0)
     conn = make_connection(1, 1, 2, 0)
     return path, conn, cfg
 
@@ -212,23 +212,42 @@ class TestRunRules:
         path, conn, cfg = one_connection(net)
         triggered = run_rules(path, conn, net, cfg)
         assert triggered == [1, 3, 4]
-        assert path.env_facts[50] is False
+        assert conn.env == ((50, False),)
         assert conn.env_changes == {50: False}
         assert net.base_values[ENV][50] is True
+
+    PASS = GenericRule(3, "pass",
+                       (PropertyCondition(Position.LINK, 1, True),),
+                       (PropertyCondition(Position.LINK, 1, True),))
 
     def test_property_assignment_hits_every_bound_fact(self):
         net = rules_model(
             normal=(NormalRule(1, "raise p2", (FactCondition(50, True),),
                                (PropertyAssignment(2, True),)),),
+            generic=(self.PASS,),
             env=(Fact(50, "go", True),),
         )
         path, conn, cfg = one_connection(net)
-        run_rules(path, conn, net, cfg)
-        for fid in net.facts_with_property[2]:
-            assert lookup_normal_fact(path, fid, net) is True
+        assert run_rules(path, conn, net, cfg) == [1, 3]
+        # Facts 11 (link) and 12 (C2) carry p2; the frozen entities show both set.
+        assert conn.link.facts == ((10, True), (11, True))
+        assert conn.entity2.facts == ((12, True),)
         # Base values stay put.
         assert net.base_values[("link", 1)][11] is False
         assert net.base_values[("container", 2)][12] is False
+
+    def test_property_assignment_records_only_environment_facts_as_env_changes(self):
+        net = rules_model(
+            normal=(NormalRule(1, "raise p2", (FactCondition(50, True),),
+                               (PropertyAssignment(2, True),)),),
+            generic=(self.PASS,),
+            env=(Fact(50, "go", True), Fact(51, "env p2", False, 2)),
+        )
+        path, conn, cfg = one_connection(net)
+        run_rules(path, conn, net, cfg)
+        assert conn.entity2.facts == ((12, True),)
+        assert conn.env == ((50, True), (51, True))
+        assert conn.env_changes == {51: True}
 
     def test_generic_missing_property_never_matches(self):
         net = rules_model(
@@ -242,6 +261,8 @@ class TestRunRules:
         # C1 holds no p2 fact at all, which is different from holding one
         # with value False.
         assert run_rules(path, conn, net, cfg) == []
+        # No generic rule fired, so the step is left unfrozen for expand_path to drop.
+        assert conn.env is None
 
     def test_generic_postcondition_needs_property_present(self):
         net = rules_model(
@@ -275,12 +296,10 @@ class TestRunRules:
                             (PropertyCondition(Position.START, 1, True),)),
             ),
         )
-        from attackpaths.traversal import make_finalization_connection
-
-        path = new_seed_path(net, 0, 0.0)
+        path = TraversalPath(0, 0.0)
         conn = make_finalization_connection(1, 0)
         cfg = TraversalConfig(start=1, end=1)
-        triggered = run_rules(path, conn, net, cfg, finalization=True)
+        triggered = run_rules(path, conn, net, cfg)
         # Only the env-only normal rule and the start-only generic rule may
         # fire on a finalization connection.
         assert triggered == [2, 4]
@@ -299,16 +318,21 @@ class TestConnections:
         assert summary.stop_reason is StopReason.EXHAUSTED
 
     def test_undirected_link_both_ways(self, filter_net):
-        path = new_seed_path(filter_net, 0, 0.0)
+        path = TraversalPath(0, 0.0)
         conn = make_connection(3, 2, 2, 0)
         run_rules(path, conn, filter_net, TraversalConfig(start=3, end=2))
         assert (conn.entity1.base_id, conn.link.base_id, conn.entity2.base_id) == (3, 2, 2)
 
     def test_variant_lookup_beats_base(self, filter_net):
-        path = new_seed_path(filter_net, 0, 0.0)
-        assert lookup_normal_fact(path, 4, filter_net) is False
+        cfg = TraversalConfig(start=1, end=2)
+        path = TraversalPath(0, 0.0)
+        conn = make_connection(1, 1, 2, 0)
+        run_rules(path, conn, filter_net, cfg)
+        assert conn.entity2.facts == ((4, False), (5, False))
         path.changed[4] = True
-        assert lookup_normal_fact(path, 4, filter_net) is True
+        conn = make_connection(1, 1, 2, 1)
+        run_rules(path, conn, filter_net, cfg)
+        assert conn.entity2.facts == ((4, True), (5, False))
         assert filter_net.base_values[("container", 2)][4] is False
 
 
@@ -317,21 +341,21 @@ class TestIsolation:
         cfg = fixture_config(filter_net, "F4:T")
         ids = count(1)
         conns = count()
-        p = new_seed_path(filter_net, 0, 0.0)
+        p = TraversalPath(0, 0.0)
         for _ in range(2):
             (p,), _ = expand_path(p, filter_net, cfg, ids, conns, ActionExecutor())
-        snapshot = dict(p.changed), dict(p.env_facts)
+        snapshot = dict(p.changed)
         n_conns = len(p.connections)
         expand_path(p, filter_net, cfg, ids, conns, ActionExecutor())
         assert len(p.connections) == n_conns
-        assert (p.changed, p.env_facts) == snapshot
+        assert p.changed == snapshot
 
     def test_sibling_branches_do_not_share_state(self):
         net = generate_model(SyntheticSpec("complete", n=3, template="no_revisit"))
         cfg = TraversalConfig(start=1, end=3)
         ids = count(1)
         conns = count()
-        seed = new_seed_path(net, 0, 0.0)
+        seed = TraversalPath(0, 0.0)
         branches, _ = expand_path(seed, net, cfg, ids, conns, ActionExecutor())
         assert len(branches) == 2
         by_target = {b.connections[0].entity2.base_id: b for b in branches}
@@ -344,7 +368,7 @@ class TestIsolation:
         cfg = fixture_config(filter_net)
         ids = count(1)
         conns = count()
-        p = new_seed_path(filter_net, 0, 0.0)
+        p = TraversalPath(0, 0.0)
         (p,), _ = expand_path(p, filter_net, cfg, ids, conns, ActionExecutor())
         q = clone_path(p, 99)
         assert q.id == 99
@@ -359,7 +383,7 @@ class TestFingerprints:
     def seed_with_repeated_crossing(self, net, cfg):
         """A seed on C1 whose fingerprint chain already holds the state the
         crossing C1 -L1-> C2 produces."""
-        seed = new_seed_path(net, 0, 0.0)
+        seed = TraversalPath(0, 0.0)
         (branch,), _ = expand_path(seed, net, cfg, count(1), count(), ActionExecutor())
         seed.fp_head = branch.fp_head
         return seed
@@ -370,10 +394,13 @@ class TestFingerprints:
         assert expand_path(seed, filter_net, cfg, count(1), count(), ActionExecutor()) == ([], [])
 
     def test_env_change_differentiates(self, filter_net):
-        cfg = fixture_config(filter_net)
-        seed = self.seed_with_repeated_crossing(filter_net, cfg)
-        seed.env_facts[999] = True
-        branches, _ = expand_path(seed, filter_net, cfg, count(1), count(), ActionExecutor())
+        # No rule reads or writes the alarm, so only the environment
+        # snapshot tells the crossing from the one already seen.
+        net = replace(filter_net, environment_facts=(Fact(999, "alarm", False),))
+        cfg = fixture_config(net)
+        seed = self.seed_with_repeated_crossing(net, cfg)
+        seed.changed[999] = True
+        branches, _ = expand_path(seed, net, cfg, count(1), count(), ActionExecutor())
         assert len(branches) == 1
 
     @pytest.mark.parametrize("seed", range(5))
@@ -397,7 +424,7 @@ class TestFingerprints:
             def step():
                 assert steps.tick() <= cfg.max_steps
 
-            stack, kept = [new_seed_path(net, 0, 0.0)], []
+            stack, kept = [TraversalPath(0, 0.0)], []
             while stack:
                 branches, finals = expand_path(
                     stack.pop(), net, cfg, ids, conns, ActionExecutor(), step
@@ -520,6 +547,16 @@ class TestActions:
         assert not marker.exists()
         assert summary.actions_run == 1
         assert summary.action_failures == 0
+
+    def test_shared_executor_counts_each_search_alone(self):
+        net = action_model()
+        executor = ActionExecutor(ActionMode.DRY_RUN)
+        counts = [
+            run_search(net, TraversalConfig(start=1, end=2), executor)[1].actions_run
+            for _ in range(3)
+        ]
+        assert counts == [1, 1, 1]
+        assert len(executor.records) == 3
 
     def test_execute_runs_command(self, tmp_path):
         marker = tmp_path / "ran"
