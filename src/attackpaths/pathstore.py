@@ -4,6 +4,9 @@ All integers are little-endian two's complement; floats are IEEE 754 doubles.
 Each fixed-width record shape has one ``struct.Struct``, from which the size
 constants derive.  A file of such records is read a block at a time by
 ``_records``; a partial trailing record raises ``FormatError`` naming the file.
+Path records are variable-width: ``decode_path`` decodes one from a buffer
+into named tuples, and each ``MergedStore`` interns entity records by their
+bytes (up to ``_INTERN_LIMIT``), so the records it returns may share them.
 
 * fact (``_FACT``): int32 fact ID, one value byte (0 or 1) -- 5 bytes
 * index or merged sort-file entry (``_I64``): int64 byte position
@@ -46,17 +49,23 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, starmap
 from pathlib import Path
-from typing import BinaryIO, Iterator, Optional
+from typing import BinaryIO, Iterator, NamedTuple, Optional
 
 from .model import Network
 from .traversal import RunSummary, TraversalPath
 
 _I32 = struct.Struct("<i")
 _I64 = struct.Struct("<q")
+_PAIR = struct.Struct("<ii")
 _FACT = struct.Struct("<iB")
 # A fact's value byte indexes this pair; any byte but 0 or 1 raises IndexError.
 _BOOLS = (False, True)
 _BLOCK_RECORDS = 8192
+# Bytes of ``Final paths`` read at a time; a longer record is read whole.
+_READ_BLOCK = 1 << 16
+# Entity records a store shares by their bytes; the table is never evicted.
+_INTERN_LIMIT = 4096
+_new = tuple.__new__  # builds a record without the named tuple's Python-level __new__
 
 FACT_RECORD_SIZE = _FACT.size
 NULL_MARKER_SIZE = _I32.size
@@ -70,6 +79,10 @@ SUMMARY_TITLE = "summary"
 
 class FormatError(Exception):
     pass
+
+
+class _Truncated(FormatError):
+    """The record runs past the end of the bytes at hand."""
 
 
 class SortKey(Enum):
@@ -168,14 +181,12 @@ def compute_metrics(path: TraversalPath, net: Network) -> MetricVector:
 # ---------------------------------------------------------------------------
 # Neutral record form used by the codec
 
-@dataclass(frozen=True)
-class EntityRecord:
+class EntityRecord(NamedTuple):
     id: int
     facts: tuple[tuple[int, bool], ...]
 
 
-@dataclass(frozen=True)
-class ConnectionRecord:
+class ConnectionRecord(NamedTuple):
     id: int
     entity1: Optional[EntityRecord]
     link: Optional[EntityRecord]
@@ -183,8 +194,7 @@ class ConnectionRecord:
     env_facts: tuple[tuple[int, bool], ...] = ()
 
 
-@dataclass(frozen=True)
-class PathRecord:
+class PathRecord(NamedTuple):
     id: int
     connections: tuple[ConnectionRecord, ...] = ()
     env_facts: tuple[tuple[int, bool], ...] = ()
@@ -254,60 +264,67 @@ def encode_path(path: PathRecord) -> bytes:
     return b"".join(out)
 
 
-def _read(stream: BinaryIO, n: int) -> bytes:
-    buf = stream.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated record: wanted {n} bytes, got {len(buf)}")
-    return buf
-
-
-def _read_i32(stream: BinaryIO) -> int:
-    buf = stream.read(4)
-    try:
-        return _I32.unpack(buf)[0]
-    except struct.error:
-        raise FormatError(f"truncated record: wanted 4 bytes, got {len(buf)}") from None
-
-
-def _decode_facts(stream: BinaryIO, owner: str, ident: int) -> tuple[tuple[int, bool], ...]:
-    """A fact count and that many fact records; ``owner`` and ``ident`` only
+def _facts(buf, pos: int, n: int, owner: str, ident: int) -> tuple[tuple[int, bool], ...]:
+    """The ``n`` fact records at ``buf[pos:]``; ``owner`` and ``ident`` only
     name the record in an error."""
-    count = _read_i32(stream)
-    if count <= 0:
-        if count < 0:
-            raise FormatError(f"{owner} {ident}: negative fact count {count}")
+    if n <= 0:
+        if n < 0:
+            raise FormatError(f"{owner} {ident}: negative fact count {n}")
         return ()
-    buf = _read(stream, count * FACT_RECORD_SIZE)
+    end = pos + n * FACT_RECORD_SIZE
+    if end > len(buf):
+        raise _Truncated(f"truncated record: {n} facts of {owner} {ident} run past its end")
     try:
-        return tuple([(fid, _BOOLS[raw]) for fid, raw in _FACT.iter_unpack(buf)])
+        return tuple([(fid, _BOOLS[raw]) for fid, raw in _FACT.iter_unpack(buf[pos:end])])
     except IndexError:
-        fid, raw = next(fact for fact in _FACT.iter_unpack(buf) if fact[1] > 1)
+        fid, raw = next(fact for fact in _FACT.iter_unpack(buf[pos:end]) if fact[1] > 1)
         raise FormatError(f"fact {fid}: value byte {raw} is not 0 or 1") from None
 
 
-def _decode_entity(stream: BinaryIO) -> Optional[EntityRecord]:
-    """An entity record, or None for the -1 marker of an absent entity."""
-    ident = _read_i32(stream)
-    if ident < 0:
-        if ident == -1:
-            return None
-        raise FormatError(f"invalid entity marker {ident}")
-    return EntityRecord(ident, _decode_facts(stream, "entity", ident))
-
-
-def decode_path(stream: BinaryIO) -> PathRecord:
-    pid = _read_i32(stream)
-    count = _read_i32(stream)
-    if count < 0:
-        raise FormatError(f"path {pid}: negative connection count")
-    conns = []
-    for _ in range(count):
-        cid = _read_i32(stream)
-        conns.append(ConnectionRecord(
-            cid, _decode_entity(stream), _decode_entity(stream), _decode_entity(stream),
-            _decode_facts(stream, "connection", cid),
-        ))
-    return PathRecord(pid, tuple(conns), _decode_facts(stream, "path", pid))
+def decode_path(buf, pos: int = 0, seen: Optional[dict] = None) -> tuple[PathRecord, int]:
+    """The path record at byte ``pos`` of ``buf`` and the offset past it.
+    ``seen`` maps entity bytes to a record shared in place of decoding them;
+    new entities join it while it holds fewer than ``_INTERN_LIMIT``."""
+    if seen is None:
+        seen = {}
+    try:
+        pid, count = _PAIR.unpack_from(buf, pos)
+        if count < 0:
+            raise FormatError(f"path {pid}: negative connection count")
+        pos += 8
+        conns = []
+        for _ in range(count):
+            (cid,) = _I32.unpack_from(buf, pos)
+            pos += 4
+            fields = [cid]
+            for _ in range(3):
+                ident, n = _PAIR.unpack_from(buf, pos)
+                if ident < 0:
+                    if ident != -1:
+                        raise FormatError(f"invalid entity marker {ident}")
+                    fields.append(None)
+                    pos += 4
+                    continue
+                # The key is the entity's whole byte extent, so a truncated
+                # entity (a shorter slice) never matches a stored one.
+                end = pos + 8 + n * FACT_RECORD_SIZE
+                key = buf[pos:end]
+                entity = seen.get(key)
+                if entity is None:
+                    entity = _new(EntityRecord, (ident, _facts(buf, pos + 8, n, "entity", ident)))
+                    if len(seen) < _INTERN_LIMIT:
+                        seen[key] = entity
+                fields.append(entity)
+                pos = end
+            (n,) = _I32.unpack_from(buf, pos)
+            fields.append(_facts(buf, pos + 4, n, "connection", cid))
+            pos += 4 + n * FACT_RECORD_SIZE
+            conns.append(_new(ConnectionRecord, fields))
+        (n,) = _I32.unpack_from(buf, pos)
+        env = _facts(buf, pos + 4, n, "path", pid)
+    except struct.error:
+        raise _Truncated("truncated record") from None
+    return _new(PathRecord, (pid, tuple(conns), env)), pos + 4 + n * FACT_RECORD_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +360,9 @@ def _record_count(nbytes: int, layout: struct.Struct, what: str) -> int:
     return nbytes // layout.size
 
 
-def _records(fh: BinaryIO, layout: struct.Struct, what: str) -> Iterator[tuple]:
-    """Unpack a file of fixed-width ``layout`` records a block at a time."""
-    while buf := fh.read(layout.size * _BLOCK_RECORDS):
+def _records(fh: BinaryIO, layout: struct.Struct, what: str, n=_BLOCK_RECORDS) -> Iterator[tuple]:
+    """Unpack a file of fixed-width ``layout`` records, ``n`` at a time."""
+    while buf := fh.read(layout.size * n):
         _record_count(len(buf), layout, what)
         yield from layout.iter_unpack(buf)
 
@@ -354,18 +371,35 @@ def _index_count(index: Path) -> int:
     return _record_count(index.stat().st_size, _I64, index.name)
 
 
-def _read_paths(finals: Path, index: Path) -> Iterator[PathRecord]:
-    """Decode a final-paths file front to back, one record per index entry;
-    the file must end after the last one."""
+def _decode_at(fh: BinaryIO, buf: bytes, pos: int, seen: dict) -> tuple[PathRecord, bytes, int]:
+    """``decode_path`` at ``buf[pos:]``, where ``buf`` ends at ``fh``'s
+    position: a record running past it is decoded again once more of ``fh``
+    is read.  Returns the record, the buffer it was decoded from and its end."""
+    while True:
+        try:
+            record, end = decode_path(buf, pos, seen)
+            return record, buf, end
+        except _Truncated:
+            # The bytes held at least double, so a long record is retried few times.
+            more = fh.read(max(_READ_BLOCK, len(buf) - pos))
+            if not more:
+                raise
+            buf, pos = buf[pos:] + more, 0
+
+
+def _read_paths(finals: Path, index: Path, seen: dict) -> Iterator[PathRecord]:
+    """Decode a final-paths file front to back, one record per index entry,
+    ``_READ_BLOCK`` bytes at a time; the file must end after the last one."""
     count = _index_count(index)
-    with open(finals, "rb") as fh:
+    with open(finals, "rb", buffering=0) as fh:
+        buf, pos = fh.read(_READ_BLOCK), 0
         for n in range(count):
             try:
-                record = decode_path(fh)
+                record, buf, pos = _decode_at(fh, buf, pos, seen)
             except FormatError as e:
                 raise FormatError(f"{finals.name}, record {n}: {e}") from None
             yield record
-        if fh.read(1):
+        if pos < len(buf) or fh.read(1):
             raise FormatError(f"{finals.name}: data after the last of {count} indexed records")
 
 
@@ -482,23 +516,25 @@ class MergedStore:
 
     def __init__(self, directory):
         self.directory = Path(directory)
+        self._finals = merged_file(self.directory, FINAL_PATHS_TITLE)
+        self._index = merged_file(self.directory, INDEX_TITLE)
+        # Entity bytes -> record, shared by every path read (``decode_path``).
+        self._entities: dict[bytes, EntityRecord] = {}
 
     @property
     def count(self) -> int:
-        return _index_count(merged_file(self.directory, INDEX_TITLE))
+        return _index_count(self._index)
 
     def read_path_at(self, pos: int) -> PathRecord:
-        with open(merged_file(self.directory, FINAL_PATHS_TITLE), "rb") as fh:
+        with open(self._finals, "rb", buffering=0) as fh:
             fh.seek(pos)
             try:
-                return decode_path(fh)
+                return _decode_at(fh, fh.read(_READ_BLOCK), 0, self._entities)[0]
             except FormatError as e:
                 raise FormatError(f"{FINAL_PATHS_TITLE}, path at byte {pos}: {e}") from None
 
     def iter_paths(self) -> Iterator[PathRecord]:
-        return _read_paths(
-            merged_file(self.directory, FINAL_PATHS_TITLE), merged_file(self.directory, INDEX_TITLE)
-        )
+        return _read_paths(self._finals, self._index, self._entities)
 
     def ensure_sorted(self, key: SortKey) -> Path:
         """Merged sort files are built on first use and reused afterwards;
@@ -510,8 +546,9 @@ class MergedStore:
 
     def sorted_positions(self, key: SortKey, k: Optional[int] = None) -> list[int]:
         target = self.ensure_sorted(key)
+        block = _BLOCK_RECORDS if k is None else min(k, _BLOCK_RECORDS)
         with open(target, "rb") as fh:
-            return [pos for (pos,) in islice(_records(fh, _I64, target.name), k)]
+            return [pos for (pos,) in islice(_records(fh, _I64, target.name, block), k)]
 
     def query_sorted(self, key: SortKey, k: int) -> list[tuple[int, PathRecord]]:
         """Top-k paths by the key, best first, as (position, record) pairs."""

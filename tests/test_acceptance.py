@@ -9,7 +9,6 @@ stop-condition bound.
 """
 
 import contextlib
-import io
 import os
 import random
 import time
@@ -157,7 +156,8 @@ def test_criterion_4_binary_round_trip(tmp_path):
         rng = random.Random(1234)
         records = [random_record(rng) for _ in range(1000)]
         for record in records:
-            assert decode_path(io.BytesIO(encode_path(record))) == record
+            buf = encode_path(record)
+            assert decode_path(buf) == (record, len(buf))
 
         subset = records[:200]
         writer = PathWriter(tmp_path, 0)

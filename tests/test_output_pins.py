@@ -1,7 +1,10 @@
-"""The bytes ``run_single`` writes, pinned by SHA-256 digest.
+"""The bytes ``run_single`` writes, and the records read back from them,
+pinned by SHA-256 digest.
 
 Each case's every file is hashed except ``summary`` (it holds timings) and
-the ``Total run time`` sort files (wall-clock values).  A change to the
+the ``Total run time`` sort files (wall-clock values).  The decoded records
+are hashed through their ``repr``, which shows ``True`` against ``1`` and
+the order of facts.  A change to the
 search, the metrics or the binary format that alters any stored byte fails
 here; a change that keeps them byte-identical passes without comparing
 against an older build by hand.  Should the format change on purpose, the
@@ -75,6 +78,14 @@ DIGESTS = {
     },
 }
 
+# SHA-256 of ``repr(list(store.iter_paths()))`` per case.
+DECODED = {
+    "filter": "6ecb5a1d0c9148a1e9181706670ede0e760bffc07f46fe850550216a3bf6b7ff",
+    "filter-F4-F5": "4813277a128a74316d8da1dda3dbe7db9008b50edf7bd125e3677788f68baeea",
+    "layered-4-4": "c2351894df130d59a7f5899cfbc98aac8eb621dde7a8709373409fd958c5ee94",
+    "rule-heavy-tiny-1": "2405c528053b02e704ea6cbe9ab3b99589efe709667b91c1712eed036e6663a2",
+}
+
 
 def case(name, filter_net):
     if name.startswith("filter"):
@@ -100,3 +111,11 @@ def test_run_single_files_match_their_digests(name, filter_net, tmp_path):
         if f.name != "summary" and not f.name.startswith("Total run time")
     }
     assert found == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", DECODED)
+def test_decoded_records_match_their_digests(name, filter_net, tmp_path):
+    net, cfg = case(name, filter_net)
+    store, _ = run_single(net, cfg, tmp_path)
+    found = hashlib.sha256(repr(list(store.iter_paths())).encode()).hexdigest()
+    assert found == DECODED[name]

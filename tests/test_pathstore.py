@@ -1,4 +1,3 @@
-import io
 import json
 import random
 import struct
@@ -7,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from attackpaths import pathstore
 from attackpaths.model import (
     CommonProperty,
     Container,
@@ -146,13 +146,15 @@ class TestRoundTrip:
     @settings(max_examples=200)
     @given(path_st)
     def test_codec_identity(self, record):
-        assert decode_path(io.BytesIO(encode_path(record))) == record
+        buf = encode_path(record)
+        assert decode_path(buf) == (record, len(buf))
 
     def test_seeded_sample(self):
         rng = random.Random(7)
         for _ in range(300):
             record = random_record(rng)
-            assert decode_path(io.BytesIO(encode_path(record))) == record
+            buf = encode_path(record)
+            assert decode_path(buf) == (record, len(buf))
 
     def test_writer_reader_cycle(self, tmp_path):
         rng = random.Random(11)
@@ -179,29 +181,86 @@ class TestDecodeErrors:
     def test_truncated(self):
         buf = encode_path(PathRecord(1, (ConnectionRecord(2, EntityRecord(3, ((4, True),)), None, None),)))
         with pytest.raises(FormatError, match="truncated"):
-            decode_path(io.BytesIO(buf[:-1]))
+            decode_path(buf[:-1])
 
     def test_bad_value_byte(self):
         def facts(second: bytes) -> bytes:
             return path_with_entity(i32.pack(3) + i32.pack(2) + i32.pack(8) + b"\x01" + i32.pack(9) + second)
 
-        assert decode_path(io.BytesIO(facts(b"\x00"))) == PathRecord(
+        assert decode_path(facts(b"\x00"))[0] == PathRecord(
             1, (ConnectionRecord(2, EntityRecord(3, ((8, True), (9, False))), None, None),)
         )
         with pytest.raises(FormatError, match="fact 9: value byte 2"):
-            decode_path(io.BytesIO(facts(b"\x02")))
+            decode_path(facts(b"\x02"))
 
     def test_negative_fact_count(self):
         with pytest.raises(FormatError, match="entity 3: negative fact count"):
-            decode_path(io.BytesIO(path_with_entity(i32.pack(3) + i32.pack(-2))))
+            decode_path(path_with_entity(i32.pack(3) + i32.pack(-2)))
 
     def test_negative_connection_count(self):
         with pytest.raises(FormatError, match="negative connection count"):
-            decode_path(io.BytesIO(i32.pack(1) + i32.pack(-1)))
+            decode_path(i32.pack(1) + i32.pack(-1))
 
     def test_invalid_entity_marker(self):
         with pytest.raises(FormatError, match="invalid entity marker"):
-            decode_path(io.BytesIO(path_with_entity(i32.pack(-5))))
+            decode_path(path_with_entity(i32.pack(-5)))
+
+    def test_truncated_entity_does_not_match_an_interned_one(self):
+        entity = encode_entity(EntityRecord(3, ((8, True), (9, False))))
+        whole = path_with_entity(entity)
+        seen = {}
+        decode_path(whole, 0, seen)
+        assert list(seen) == [entity]
+        # Path ID, connection count and connection ID come first.
+        for cut in (12 + len(entity) - 1, 12 + MIN_ENTITY_SIZE):
+            with pytest.raises(FormatError, match="truncated"):
+                decode_path(whole[:cut], 0, seen)
+
+
+def write_records(directory, records) -> list[int]:
+    """Store ``records`` as a one-worker merged run; returns their positions."""
+    writer = PathWriter(directory, 0)
+    positions = [writer.append_record(r) for r in records]
+    writer.close()
+    merge_final_and_index(directory, [0])
+    return positions
+
+
+class TestStoreReads:
+    def test_intern_table_stops_at_its_limit(self, tmp_path):
+        rng = random.Random(17)
+        records = [random_record(rng) for _ in range(1000)]
+        distinct = {
+            encode_entity(e)
+            for r in records for c in r.connections for e in (c.entity1, c.link, c.entity2)
+            if e is not None
+        }
+        assert len(distinct) > pathstore._INTERN_LIMIT
+        positions = write_records(tmp_path, records)
+        # The file spans several read blocks, so records straddle them.
+        assert positions[-1] > 2 * pathstore._READ_BLOCK
+        store = MergedStore(tmp_path)
+        assert list(store.iter_paths()) == records
+        assert len(store._entities) == pathstore._INTERN_LIMIT
+        assert [store.read_path_at(pos) for pos in positions] == records
+        assert len(store._entities) == pathstore._INTERN_LIMIT
+
+    def test_record_longer_than_a_read_block(self, tmp_path):
+        facts = tuple((i, i % 3 == 0) for i in range(20000))
+        big = PathRecord(5, (ConnectionRecord(6, EntityRecord(7, facts), None, None, ((1, True),)),))
+        assert len(encode_path(big)) > pathstore._READ_BLOCK
+        records = [PathRecord(1), big, PathRecord(2, (), ((3, False),))]
+        positions = write_records(tmp_path, records)
+        store = MergedStore(tmp_path)
+        assert list(store.iter_paths()) == records
+        assert [store.read_path_at(pos) for pos in positions] == records
+
+    def test_iter_paths_and_read_path_at_agree(self, tmp_path):
+        layered_run(tmp_path, workers=3)
+        positions = [pos for (pos,) in i64.iter_unpack(merged_file(tmp_path, INDEX_TITLE).read_bytes())]
+        assert len(positions) == 27
+        store = MergedStore(tmp_path)
+        assert [store.read_path_at(pos) for pos in positions] == list(store.iter_paths())
 
 
 class TestSortFiles:
