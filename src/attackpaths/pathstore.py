@@ -7,6 +7,9 @@ constants derive.  A file of such records is read a block at a time by
 Path records are variable-width: ``decode_path`` decodes one from a buffer
 into named tuples, and each ``MergedStore`` interns entity records by their
 bytes (up to ``_INTERN_LIMIT``), so the records it returns may share them.
+The search is depth-first, so consecutive records often begin with the same
+connections, byte for byte; one pass or one query decodes each such run once
+and shares its ``ConnectionRecord``s, matched by their bytes.
 
 * fact (``_FACT``): int32 fact ID, one value byte (0 or 1) -- 5 bytes
 * index or merged sort-file entry (``_I64``): int64 byte position
@@ -44,7 +47,7 @@ import os
 import shutil
 import struct
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, starmap
@@ -63,6 +66,7 @@ _BOOLS = (False, True)
 _BLOCK_RECORDS = 8192
 # Bytes of ``Final paths`` read at a time; a longer record is read whole.
 _READ_BLOCK = 1 << 16
+_FIRST_READ = 1 << 12  # ``read_path_at``'s first read; it reads on for a longer record
 # Entity records a store shares by their bytes; the table is never evicted.
 _INTERN_LIMIT = 4096
 _new = tuple.__new__  # builds a record without the named tuple's Python-level __new__
@@ -281,19 +285,27 @@ def _facts(buf, pos: int, n: int, owner: str, ident: int) -> tuple[tuple[int, bo
         raise FormatError(f"fact {fid}: value byte {raw} is not 0 or 1") from None
 
 
-def decode_path(buf, pos: int = 0, seen: Optional[dict] = None) -> tuple[PathRecord, int]:
+def decode_path(buf, pos: int, seen: dict, prefix: list) -> tuple[PathRecord, int]:
     """The path record at byte ``pos`` of ``buf`` and the offset past it.
     ``seen`` maps entity bytes to a record shared in place of decoding them;
-    new entities join it while it holds fewer than ``_INTERN_LIMIT``."""
-    if seen is None:
-        seen = {}
+    new entities join it while it holds fewer than ``_INTERN_LIMIT``.
+    ``prefix`` holds a ``(bytes, ConnectionRecord)`` pair per connection of
+    the record decoded before: leading connections whose bytes equal its
+    entries' share their records, and the list is rewritten for this one."""
     try:
         pid, count = _PAIR.unpack_from(buf, pos)
         if count < 0:
             raise FormatError(f"path {pid}: negative connection count")
         pos += 8
         conns = []
-        for _ in range(count):
+        for extent, conn in prefix:
+            if len(conns) == count or not buf.startswith(extent, pos):
+                break
+            conns.append(conn)
+            pos += len(extent)
+        del prefix[len(conns):]
+        for _ in range(count - len(conns)):
+            start = pos
             (cid,) = _I32.unpack_from(buf, pos)
             pos += 4
             fields = [cid]
@@ -319,7 +331,9 @@ def decode_path(buf, pos: int = 0, seen: Optional[dict] = None) -> tuple[PathRec
             (n,) = _I32.unpack_from(buf, pos)
             fields.append(_facts(buf, pos + 4, n, "connection", cid))
             pos += 4 + n * FACT_RECORD_SIZE
-            conns.append(_new(ConnectionRecord, fields))
+            conn = _new(ConnectionRecord, fields)
+            conns.append(conn)
+            prefix.append((buf[start:pos], conn))
         (n,) = _I32.unpack_from(buf, pos)
         env = _facts(buf, pos + 4, n, "path", pid)
     except struct.error:
@@ -371,13 +385,15 @@ def _index_count(index: Path) -> int:
     return _record_count(index.stat().st_size, _I64, index.name)
 
 
-def _decode_at(fh: BinaryIO, buf: bytes, pos: int, seen: dict) -> tuple[PathRecord, bytes, int]:
+def _decode_at(
+    fh: BinaryIO, buf: bytes, pos: int, seen: dict, prefix: list
+) -> tuple[PathRecord, bytes, int]:
     """``decode_path`` at ``buf[pos:]``, where ``buf`` ends at ``fh``'s
     position: a record running past it is decoded again once more of ``fh``
     is read.  Returns the record, the buffer it was decoded from and its end."""
     while True:
         try:
-            record, end = decode_path(buf, pos, seen)
+            record, end = decode_path(buf, pos, seen, prefix)
             return record, buf, end
         except _Truncated:
             # The bytes held at least double, so a long record is retried few times.
@@ -391,11 +407,12 @@ def _read_paths(finals: Path, index: Path, seen: dict) -> Iterator[PathRecord]:
     """Decode a final-paths file front to back, one record per index entry,
     ``_READ_BLOCK`` bytes at a time; the file must end after the last one."""
     count = _index_count(index)
+    prefix: list = []
     with open(finals, "rb", buffering=0) as fh:
         buf, pos = fh.read(_READ_BLOCK), 0
         for n in range(count):
             try:
-                record, buf, pos = _decode_at(fh, buf, pos, seen)
+                record, buf, pos = _decode_at(fh, buf, pos, seen, prefix)
             except FormatError as e:
                 raise FormatError(f"{finals.name}, record {n}: {e}") from None
             yield record
@@ -518,6 +535,7 @@ class MergedStore:
         self.directory = Path(directory)
         self._finals = merged_file(self.directory, FINAL_PATHS_TITLE)
         self._index = merged_file(self.directory, INDEX_TITLE)
+        self._sorted = {key: merged_file(self.directory, key.title) for key in SortKey}
         # Entity bytes -> record, shared by every path read (``decode_path``).
         self._entities: dict[bytes, EntityRecord] = {}
 
@@ -525,11 +543,15 @@ class MergedStore:
     def count(self) -> int:
         return _index_count(self._index)
 
-    def read_path_at(self, pos: int) -> PathRecord:
-        with open(self._finals, "rb", buffering=0) as fh:
+    def read_path_at(
+        self, pos: int, *, fh: Optional[BinaryIO] = None, prefix: Optional[list] = None
+    ) -> PathRecord:
+        """The path at byte ``pos``; ``query_sorted`` passes its open file and one ``prefix``."""
+        prefix = [] if prefix is None else prefix
+        with open(self._finals, "rb", buffering=0) if fh is None else nullcontext(fh) as fh:
             fh.seek(pos)
             try:
-                return _decode_at(fh, fh.read(_READ_BLOCK), 0, self._entities)[0]
+                return _decode_at(fh, fh.read(_FIRST_READ), 0, self._entities, prefix)[0]
             except FormatError as e:
                 raise FormatError(f"{FINAL_PATHS_TITLE}, path at byte {pos}: {e}") from None
 
@@ -539,7 +561,7 @@ class MergedStore:
     def ensure_sorted(self, key: SortKey) -> Path:
         """Merged sort files are built on first use and reused afterwards;
         one appears only once complete."""
-        target = merged_file(self.directory, key.title)
+        target = self._sorted[key]
         if not target.exists():
             merge_sort_files(self.directory, key)
         return target
@@ -551,8 +573,11 @@ class MergedStore:
             return [pos for (pos,) in islice(_records(fh, _I64, target.name, block), k)]
 
     def query_sorted(self, key: SortKey, k: int) -> list[tuple[int, PathRecord]]:
-        """Top-k paths by the key, best first, as (position, record) pairs."""
-        return [(pos, self.read_path_at(pos)) for pos in self.sorted_positions(key, k)]
+        """Top-k paths by the key, best first, as (position, record) pairs.
+        Ties go by position, so answers often share leading connections."""
+        positions, prefix = self.sorted_positions(key, k), []
+        with open(self._finals, "rb", buffering=0) as fh:
+            return [(pos, self.read_path_at(pos, fh=fh, prefix=prefix)) for pos in positions]
 
     def top_values(self, key: SortKey, k: int) -> list:
         """The values of ``sorted_positions(key, k)``, in that order: the

@@ -1,7 +1,9 @@
 import json
 import random
+import shutil
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,14 +149,14 @@ class TestRoundTrip:
     @given(path_st)
     def test_codec_identity(self, record):
         buf = encode_path(record)
-        assert decode_path(buf) == (record, len(buf))
+        assert decode_path(buf, 0, {}, []) == (record, len(buf))
 
     def test_seeded_sample(self):
         rng = random.Random(7)
         for _ in range(300):
             record = random_record(rng)
             buf = encode_path(record)
-            assert decode_path(buf) == (record, len(buf))
+            assert decode_path(buf, 0, {}, []) == (record, len(buf))
 
     def test_writer_reader_cycle(self, tmp_path):
         rng = random.Random(11)
@@ -181,40 +183,40 @@ class TestDecodeErrors:
     def test_truncated(self):
         buf = encode_path(PathRecord(1, (ConnectionRecord(2, EntityRecord(3, ((4, True),)), None, None),)))
         with pytest.raises(FormatError, match="truncated"):
-            decode_path(buf[:-1])
+            decode_path(buf[:-1], 0, {}, [])
 
     def test_bad_value_byte(self):
         def facts(second: bytes) -> bytes:
             return path_with_entity(i32.pack(3) + i32.pack(2) + i32.pack(8) + b"\x01" + i32.pack(9) + second)
 
-        assert decode_path(facts(b"\x00"))[0] == PathRecord(
+        assert decode_path(facts(b"\x00"), 0, {}, [])[0] == PathRecord(
             1, (ConnectionRecord(2, EntityRecord(3, ((8, True), (9, False))), None, None),)
         )
         with pytest.raises(FormatError, match="fact 9: value byte 2"):
-            decode_path(facts(b"\x02"))
+            decode_path(facts(b"\x02"), 0, {}, [])
 
     def test_negative_fact_count(self):
         with pytest.raises(FormatError, match="entity 3: negative fact count"):
-            decode_path(path_with_entity(i32.pack(3) + i32.pack(-2)))
+            decode_path(path_with_entity(i32.pack(3) + i32.pack(-2)), 0, {}, [])
 
     def test_negative_connection_count(self):
         with pytest.raises(FormatError, match="negative connection count"):
-            decode_path(i32.pack(1) + i32.pack(-1))
+            decode_path(i32.pack(1) + i32.pack(-1), 0, {}, [])
 
     def test_invalid_entity_marker(self):
         with pytest.raises(FormatError, match="invalid entity marker"):
-            decode_path(path_with_entity(i32.pack(-5)))
+            decode_path(path_with_entity(i32.pack(-5)), 0, {}, [])
 
     def test_truncated_entity_does_not_match_an_interned_one(self):
         entity = encode_entity(EntityRecord(3, ((8, True), (9, False))))
         whole = path_with_entity(entity)
         seen = {}
-        decode_path(whole, 0, seen)
+        decode_path(whole, 0, seen, [])
         assert list(seen) == [entity]
         # Path ID, connection count and connection ID come first.
         for cut in (12 + len(entity) - 1, 12 + MIN_ENTITY_SIZE):
             with pytest.raises(FormatError, match="truncated"):
-                decode_path(whole[:cut], 0, seen)
+                decode_path(whole[:cut], 0, seen, [])
 
 
 def write_records(directory, records) -> list[int]:
@@ -261,6 +263,148 @@ class TestStoreReads:
         assert len(positions) == 27
         store = MergedStore(tmp_path)
         assert [store.read_path_at(pos) for pos in positions] == list(store.iter_paths())
+
+
+def edited(conn: ConnectionRecord) -> ConnectionRecord:
+    """``conn`` with its first fact value flipped, so its ID and length stay;
+    a connection without facts gets another ID."""
+    if conn.env_facts:
+        (fid, value), *rest = conn.env_facts
+        return conn._replace(env_facts=((fid, not value), *rest))
+    for field in ("entity1", "link", "entity2"):
+        entity = getattr(conn, field)
+        if entity is not None and entity.facts:
+            (fid, value), *rest = entity.facts
+            return conn._replace(**{field: entity._replace(facts=((fid, not value), *rest))})
+    return conn._replace(id=conn.id ^ 1)
+
+
+def varied(conns: tuple, op: str, at: int, new: tuple) -> tuple:
+    """The connections of a depth-first neighbour of a record holding
+    ``conns``: extended by ``new``, cut to ``at``, or with connection ``at``
+    edited."""
+    if op == "extend":
+        return conns + new
+    if op == "truncate":
+        return conns[:at]
+    return conns[:at] + (edited(conns[at]),) + conns[at + 1:] if at < len(conns) else conns
+
+
+@st.composite
+def record_chains(draw):
+    conns = tuple(draw(st.lists(conn_st, max_size=4)))
+    chain = [PathRecord(0, conns)]
+    for n in range(1, draw(st.integers(1, 8)) + 1):
+        op = draw(st.sampled_from(["extend", "truncate", "edit"]))
+        at = draw(st.integers(0, max(len(conns) - 1, 0)))
+        conns = varied(conns, op, at, tuple(draw(st.lists(conn_st, min_size=1, max_size=3))))
+        chain.append(PathRecord(n, conns, tuple(draw(st.lists(facts_st, max_size=2)))))
+    return chain
+
+
+def decode_in_sequence(buf: bytes) -> list[PathRecord]:
+    """Decode back-to-back records with one ``prefix`` list, checking after
+    each that the list holds exactly that record's connections."""
+    seen, prefix, pos, out = {}, [], 0, []
+    while pos < len(buf):
+        record, pos = decode_path(buf, pos, seen, prefix)
+        assert [key for key, _ in prefix] == [encode_connection(c) for c in record.connections]
+        assert all(a is b for (_, a), b in zip(prefix, record.connections, strict=True))
+        out.append(record)
+    return out
+
+
+class TestSharedConnections:
+    conns = tuple(ConnectionRecord(i, EntityRecord(i, ((i, True),)), None, None) for i in range(3))
+
+    def test_a_changed_fact_value_is_decoded_afresh(self):
+        first = PathRecord(1, (ConnectionRecord(2, EntityRecord(3, ((4, True),)), None, None),))
+        second = PathRecord(1, (ConnectionRecord(2, EntityRecord(3, ((4, False),)), None, None),))
+        assert len(encode_path(first)) == len(encode_path(second))
+        assert decode_in_sequence(encode_path(first) + encode_path(second)) == [first, second]
+
+    def test_records_shorter_and_longer_than_the_one_before(self):
+        a, b, c = self.conns
+        records = [PathRecord(1, (a, b, c)), PathRecord(2, (a, b)), PathRecord(3, (a,)),
+                   PathRecord(4, (a, b, c)), PathRecord(5), PathRecord(6, (a, c))]
+        assert decode_in_sequence(b"".join(map(encode_path, records))) == records
+        # Connection 0 (``a``) begins like the empty environment-fact list
+        # that ends a record; bytes after the record stay out of it.
+        prefix = []
+        decode_path(encode_path(PathRecord(1, (b, a))), 0, {}, prefix)
+        cut = encode_path(PathRecord(2, (b,)))
+        assert decode_path(cut + encode_connection(a)[4:], 0, {}, prefix) == (PathRecord(2, (b,)), len(cut))
+
+    def test_a_bad_value_byte_after_shared_connections_still_raises(self):
+        a, b, _ = self.conns
+        third = ConnectionRecord(5, EntityRecord(3, ((8, True), (9, False))), None, None)
+        good = encode_path(PathRecord(1, (a, b, third)))
+        assert good.count(i32.pack(9) + b"\x00") == 1
+        prefix = []
+        decode_path(good, 0, {}, prefix)
+        with pytest.raises(FormatError, match="fact 9: value byte 2"):
+            decode_path(good.replace(i32.pack(9) + b"\x00", i32.pack(9) + b"\x02"), 0, {}, prefix)
+
+    @settings(max_examples=100)
+    @given(record_chains())
+    def test_sequential_decode_equals_fresh_decodes(self, chain):
+        buf = b"".join(map(encode_path, chain))
+        assert decode_in_sequence(buf) == chain
+        pos, fresh = 0, []
+        while pos < len(buf):
+            record, pos = decode_path(buf, pos, {}, [])
+            fresh.append(record)
+        assert fresh == chain
+
+    def test_record_cut_by_a_read_block_shares_its_prefix(self, tmp_path):
+        rng = random.Random(1)
+        conns, records, size = (), [], 0
+        while size < 3 * pathstore._READ_BLOCK:
+            op = rng.choice(["extend", "truncate", "edit"] if len(conns) < 8 else ["truncate", "edit"])
+            at = rng.randrange(max(len(conns), 1))
+            conns = varied(conns, op, at, random_record(rng).connections[:2] or self.conns[:1])
+            records.append(PathRecord(len(records), conns))
+            size += len(encode_path(records[-1]))
+        positions = write_records(tmp_path, records)
+        data = merged_file(tmp_path, FINAL_PATHS_TITLE).read_bytes()
+        ends = positions[1:] + [len(data)]
+        # The record cut by the first block boundary shares its first
+        # connection with the one before, and the cut falls after it.
+        n = next(i for i, end in enumerate(ends) if end > pathstore._READ_BLOCK)
+        shared = encode_connection(records[n].connections[0])
+        assert records[n - 1].connections[0] == records[n].connections[0]
+        assert positions[n] + 8 + len(shared) < pathstore._READ_BLOCK
+        store = MergedStore(tmp_path)
+        assert list(store.iter_paths()) == [decode_path(data, p, {}, [])[0] for p in positions] == records
+
+    def test_query_sorted_reads_through_one_open_file(self, tmp_path, monkeypatch):
+        layered_run(tmp_path, workers=3)
+        store = MergedStore(tmp_path)
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file).name)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(pathstore, "open", counting_open, raising=False)
+        for key in SortKey:
+            expected = [(pos, store.read_path_at(pos)) for pos in store.sorted_positions(key)]
+            opened.clear()
+            assert store.query_sorted(key, store.count) == expected
+            assert opened.count(FINAL_PATHS_TITLE) == 1
+
+    def test_stores_share_no_connection_records(self, tmp_path):
+        layered_run(tmp_path / "a")
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        first, second = MergedStore(tmp_path / "a"), MergedStore(tmp_path / "b")
+        positions = first.sorted_positions(SortKey.ID)
+        read = [(first.read_path_at(p), second.read_path_at(p)) for p in positions]
+        read += list(zip(first.iter_paths(), second.iter_paths()))
+        for key in SortKey:
+            read += [(a, b) for (_, a), (_, b) in zip(first.query_sorted(key, 5), second.query_sorted(key, 5))]
+        for a, b in read:
+            assert a == b
+            assert not any(x is y for x in a.connections for y in b.connections)
 
 
 class TestSortFiles:
