@@ -66,7 +66,6 @@ _BOOLS = (False, True)
 _BLOCK_RECORDS = 8192
 # Bytes of ``Final paths`` read at a time; a longer record is read whole.
 _READ_BLOCK = 1 << 16
-_FIRST_READ = 1 << 12  # ``read_path_at``'s first read; it reads on for a longer record
 # Entity records a store shares by their bytes; the table is never evicted.
 _INTERN_LIMIT = 4096
 _new = tuple.__new__  # builds a record without the named tuple's Python-level __new__
@@ -551,7 +550,7 @@ class MergedStore:
         with open(self._finals, "rb", buffering=0) if fh is None else nullcontext(fh) as fh:
             fh.seek(pos)
             try:
-                return _decode_at(fh, fh.read(_FIRST_READ), 0, self._entities, prefix)[0]
+                return _decode_at(fh, fh.read(_READ_BLOCK), 0, self._entities, prefix)[0]
             except FormatError as e:
                 raise FormatError(f"{FINAL_PATHS_TITLE}, path at byte {pos}: {e}") from None
 
