@@ -27,12 +27,13 @@ and shares its ``ConnectionRecord``s, matched by their bytes.
 Each worker ``w`` owns ``Final paths-{w}.tmp`` plus ``Index-{w}.tmp`` (one
 int64 write position per path, path ``n`` at byte ``n * 8``) and one sort
 file per sort key holding ``(value, int64 position)`` records in descending
-value order, ties broken by ascending position.  Merging concatenates the
-final-path files in worker order, rewrites index entries with per-worker
-offsets, and builds each merged sort file lazily: the per-worker streams are
-k-way merged on highest value and only the offset-adjusted int64 position is
-written.  Every merged file is written to ``<title>.partial``, which is
-renamed onto ``<title>`` only once complete.
+value order, ties broken by ascending position.  Merging moves the first
+worker's final-path and index files into place, appends the others' records
+and offset-shifted index entries in worker order and deletes their files, so
+each path is stored once.  Each merged sort file is built lazily: the
+per-worker streams are k-way merged on highest value and only the
+offset-adjusted int64 position is written.  Every merged file is written to
+``<title>.partial``, which is renamed onto ``<title>`` only once complete.
 
 ``RUN_TITLES`` names every file of a run, which ``clear_run`` deletes when a
 run starts or fails.  ``summary`` is written last, so a directory holds a
@@ -51,6 +52,7 @@ from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, starmap
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterator, NamedTuple, Optional
 
@@ -421,8 +423,9 @@ def _read_paths(finals: Path, index: Path, seen: dict) -> Iterator[PathRecord]:
 
 def write_sort_file(directory, worker: int, key: SortKey, rows: list[tuple[object, int]]) -> Path:
     """Write one worker's sort file: (value, position) rows ordered by value
-    descending, ties by position ascending."""
-    ordered = sorted(rows, key=lambda r: (-r[0], r[1]))
+    descending, ties by position ascending (``reverse=True`` keeps a sort stable)."""
+    ordered = sorted(rows, key=itemgetter(1))
+    ordered.sort(key=itemgetter(0), reverse=True)
     target = worker_file(directory, key.title, worker)
     with open(target, "wb") as fh:
         fh.writelines(starmap(key.record.pack, ordered))
@@ -431,7 +434,8 @@ def write_sort_file(directory, worker: int, key: SortKey, rows: list[tuple[objec
 
 def write_all_sort_files(directory, worker: int, metrics: list[tuple[MetricVector, int]]) -> None:
     for key in SortKey:
-        write_sort_file(directory, worker, key, [(m.value_for(key), pos) for m, pos in metrics])
+        value = attrgetter(key.name.lower())
+        write_sort_file(directory, worker, key, [(value(m), pos) for m, pos in metrics])
 
 
 def read_sort_file(path: Path, key: SortKey) -> list[tuple[object, int]]:
@@ -458,9 +462,9 @@ def _written_in_place_of(*targets: Path) -> Iterator[list[Path]]:
 
 
 def merge_final_and_index(directory, workers: list[int]) -> list[int]:
-    """Concatenate worker final-path files in worker order and rewrite the
-    index with per-worker byte offsets applied.  Returns the offset table
-    (also persisted to the ``Offsets`` file for later invocations)."""
+    """Move the first worker's final-path and index files into place, append
+    the others' records and offset-shifted index entries, then delete their
+    files.  Returns the offset table (also persisted to ``Offsets``)."""
     directory = Path(directory)
     # Every merged file of an earlier merge goes first, ``summary`` first of
     # all: merged sort files hold positions into the previous ``Final paths``,
@@ -468,24 +472,33 @@ def merge_final_and_index(directory, workers: list[int]) -> list[int]:
     # merge that fails part way then leaves a visibly incomplete directory.
     for title in RUN_TITLES:
         merged_file(directory, title).unlink(missing_ok=True)
-    offsets: list[int] = []
+    finals = [worker_file(directory, FINAL_PATHS_TITLE, w) for w in workers]
+    indexes = [worker_file(directory, INDEX_TITLE, w) for w in workers]
+    # Checked before anything moves, so a truncated index leaves every worker file in place.
+    for index in indexes:
+        _index_count(index)
+    offsets: list[int] = [0]
     titles = (FINAL_PATHS_TITLE, INDEX_TITLE, OFFSETS_TITLE)
     with _written_in_place_of(*(merged_file(directory, t) for t in titles)) as (
         paths_partial, index_partial, offsets_partial,
     ):
-        with open(paths_partial, "wb") as out_paths, open(index_partial, "wb") as out_index:
-            for w in workers:
+        # The first worker's offset is 0, so its index already holds merged positions.
+        os.replace(finals[0], paths_partial)
+        os.replace(indexes[0], index_partial)
+        with open(paths_partial, "ab") as out_paths, open(index_partial, "ab") as out_index:
+            for final, index in zip(finals[1:], indexes[1:]):
                 running = out_paths.tell()
                 offsets.append(running)
-                index = worker_file(directory, INDEX_TITLE, w)
                 with open(index, "rb") as ih:
                     out_index.writelines(
                         _I64.pack(pos + running) for (pos,) in _records(ih, _I64, index.name)
                     )
-                with open(worker_file(directory, FINAL_PATHS_TITLE, w), "rb") as fh:
+                with open(final, "rb") as fh:
                     shutil.copyfileobj(fh, out_paths)
         with open(offsets_partial, "w", encoding="utf-8") as fh:
             json.dump({"workers": workers, "offsets": offsets}, fh)
+    for appended in finals[1:] + indexes[1:]:
+        appended.unlink()
     return offsets
 
 

@@ -66,9 +66,11 @@ class TestRun:
         assert "final paths      1" in out
         assert "connections      4" in out
         assert "rules triggered  4" in out
-        for name in ("Final paths", "Index", "summary", "Final paths-0.tmp",
-                     "Traversability chance-0.tmp"):
+        for name in ("Final paths", "Index", "summary", "Traversability chance-0.tmp"):
             assert (tmp_path / name).exists(), name
+        # The merge moved the worker's final-path and index files into place.
+        for name in ("Final paths-0.tmp", "Index-0.tmp"):
+            assert not (tmp_path / name).exists(), name
 
     @pytest.mark.parametrize("mode", ["single", "multi"])
     def test_full_disk_at_merge_is_an_error_line(self, mode, fixture_model, tmp_path,
@@ -95,7 +97,11 @@ class TestRun:
         )
         assert rc == 0
         assert "final paths      1" in capsys.readouterr().out
-        assert (tmp_path / "Final paths-1.tmp").exists()
+        for w in (0, 1):
+            assert not worker_file(tmp_path, FINAL_PATHS_TITLE, w).exists(), w
+            assert not worker_file(tmp_path, INDEX_TITLE, w).exists(), w
+            for key in SortKey:
+                assert worker_file(tmp_path, key.title, w).exists(), (w, key)
 
     def test_workers_rejected_in_single_mode(self, fixture_model, tmp_path, capsys):
         rc = run_cli(

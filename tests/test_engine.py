@@ -2,6 +2,7 @@ import errno
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -38,7 +39,7 @@ from attackpaths.model import (
     NormalRule,
     load_network_file,
 )
-from attackpaths.pathstore import FINAL_PATHS_TITLE, INDEX_TITLE, worker_file
+from attackpaths.pathstore import FINAL_PATHS_TITLE, INDEX_TITLE, merged_file, worker_file
 from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
 from attackpaths.traversal import (
     RunSummary,
@@ -53,6 +54,7 @@ from attackpaths.traversal import (
 from support import action_model, canonical_run, layered_run, random_model
 
 CTX = multiprocessing.get_context("fork")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestPlanning:
@@ -192,7 +194,7 @@ def equivalence_cases(filter_net):
 
 class TestSingleWorkerEquivalence:
     def test_one_worker_run_is_byte_identical_to_single(self, filter_net, tmp_path):
-        titles = [FINAL_PATHS_TITLE, INDEX_TITLE] + [
+        sort_titles = [
             k.title for k in pathstore.SortKey if k is not pathstore.SortKey.TOTAL_RUN_TIME
         ]
         for case, net, cfg in equivalence_cases(filter_net):
@@ -200,7 +202,11 @@ class TestSingleWorkerEquivalence:
             b = tmp_path / case / "multi1"
             _, s1 = run_single(net, cfg, a)
             _, s2 = run_multi(net, EngineConfig(cfg, worker_count=1), b)
-            for title in titles:
+            for title in (FINAL_PATHS_TITLE, INDEX_TITLE):
+                assert (
+                    merged_file(a, title).read_bytes() == merged_file(b, title).read_bytes()
+                ), f"{case}: {title}"
+            for title in sort_titles:
                 assert (
                     worker_file(a, title, 0).read_bytes() == worker_file(b, title, 0).read_bytes()
                 ), f"{case}: {title}"
@@ -299,7 +305,7 @@ class TestMultiWorker:
 
     def test_fewer_workers_leave_no_stale_worker_files(self, tmp_path):
         layered_run(tmp_path, workers=3)
-        assert len(list(tmp_path.glob("*-2.tmp"))) == 8
+        assert len(list(tmp_path.glob("*-2.tmp"))) == 6
         store, _ = layered_run(tmp_path, workers=2)
         assert list(tmp_path.glob("*-2.tmp")) == []
         assert store.count == 27
@@ -322,6 +328,42 @@ class TestMultiWorker:
         assert seq == sorted(seq, reverse=True)
         text = pathstore.merged_file(tmp_path, pathstore.SUMMARY_TITLE).read_text()
         assert json.loads(text) == json.loads(json.dumps(summary.to_dict()))
+
+
+def readme_output_files(workers: int) -> set[str]:
+    """The file names README "Output files" lists, with ``<w>`` expanded over
+    ``workers`` and ``<metric>`` over the sort keys."""
+    section = README.read_text(encoding="utf-8").split("## Output files\n", 1)[1]
+    table = next(block for block in section.split("\n\n") if block.startswith("|"))
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    names = set()
+    for row in rows:
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            for metric in [k.title for k in pathstore.SortKey] if "<metric>" in name else [None]:
+                for w in range(workers) if "<w>" in name else [None]:
+                    names.add(name.replace("<metric>", str(metric)).replace("<w>", str(w)))
+    return names
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_finished_run_stores_each_path_once(self, workers, tmp_path):
+        layered_run(tmp_path, workers=workers)
+        sort_files = [f"{key.title}-{w}.tmp" for key in pathstore.SortKey for w in range(workers)]
+        assert sorted(os.listdir(tmp_path)) == sorted([
+            FINAL_PATHS_TITLE, INDEX_TITLE, pathstore.OFFSETS_TITLE, pathstore.SUMMARY_TITLE,
+            *sort_files,
+        ])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_readme_table_lists_the_files_of_a_run(self, workers, tmp_path):
+        store, _ = layered_run(tmp_path, workers=workers)
+        listed = readme_output_files(workers)
+        lazy = {key.title for key in pathstore.SortKey}
+        assert set(os.listdir(tmp_path)) == listed - lazy
+        for key in pathstore.SortKey:
+            store.ensure_sorted(key)
+        assert set(os.listdir(tmp_path)) == listed
 
 
 class TestStopsMulti:
@@ -540,6 +582,19 @@ class TestBoundary:
         monkeypatch.setattr(pathstore, step, disk_full)
         with pytest.raises(OSError) as raised:
             layered_run(tmp_path, workers=1 if mode == "single" else 2)
+        assert raised.value.errno == errno.ENOSPC
+        assert os.listdir(tmp_path) == []
+
+    def test_full_disk_while_appending_worker_1_clears_the_run(self, tmp_path, monkeypatch):
+        # Worker 0's files have been moved onto the partials by then.
+        def disk_full(src, dst, *args):
+            dst.write(src.read(10))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        layered_run(tmp_path)
+        monkeypatch.setattr(pathstore.shutil, "copyfileobj", disk_full)
+        with pytest.raises(OSError) as raised:
+            layered_run(tmp_path, workers=2)
         assert raised.value.errno == errno.ENOSPC
         assert os.listdir(tmp_path) == []
 

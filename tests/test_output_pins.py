@@ -2,7 +2,9 @@
 pinned by SHA-256 digest.
 
 Each case's every file is hashed except ``summary`` (it holds timings) and
-the ``Total run time`` sort files (wall-clock values).  The decoded records
+the ``Total run time`` sort files (wall-clock values).  The worker's
+final-path and index files are not among them: the merge moves them onto
+``Final paths`` and ``Index``.  The decoded records
 are hashed through their ``repr``, which shows ``True`` against ``1`` and
 the order of facts.  A change to the
 search, the metrics or the binary format that alters any stored byte fails
@@ -32,10 +34,8 @@ DIGESTS = {
         'Availability-0.tmp': "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
         'Confidentiality-0.tmp': "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
         'Final paths': "17870040182511f1073bc6b67c6feafb2913bed18862ababef4a7fa4f5d0840a",
-        'Final paths-0.tmp': "17870040182511f1073bc6b67c6feafb2913bed18862ababef4a7fa4f5d0840a",
         'ID-0.tmp': "b76875c50ef704dbbf7f02c982445971d1bbd61aebe2e4b28ddc58a1d66317d5",
         'Index': "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
-        'Index-0.tmp': "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
         'Integrity-0.tmp': "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
         'Offsets': "26fd36633996484e666925642e8edb40854d8631f2dcae4b05bd4173fd0a63bf",
         'Traversability chance-0.tmp': "3239b05c38b825ebb79f103172438292a22a0951351a6b81be1df5d44776cc65",
@@ -44,10 +44,8 @@ DIGESTS = {
         'Availability-0.tmp': "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
         'Confidentiality-0.tmp': "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
         'Final paths': "d4946177c9cc01bf786f00745c37d21be5415866a5eb8be5f40c56883e35b0ba",
-        'Final paths-0.tmp': "d4946177c9cc01bf786f00745c37d21be5415866a5eb8be5f40c56883e35b0ba",
         'ID-0.tmp': "8be77d9aea1fa1f795f59c6498bfa494fbb9f331a0f0cfbe5cac9c765b09bcc0",
         'Index': "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
-        'Index-0.tmp': "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
         'Integrity-0.tmp': "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
         'Offsets': "26fd36633996484e666925642e8edb40854d8631f2dcae4b05bd4173fd0a63bf",
         'Traversability chance-0.tmp': "3239b05c38b825ebb79f103172438292a22a0951351a6b81be1df5d44776cc65",
@@ -56,10 +54,8 @@ DIGESTS = {
         'Availability-0.tmp': "4a63e4122128876f83a96bbe8c8eee49658ff5c1c823f8e769602b9171ddb462",
         'Confidentiality-0.tmp': "7c015ef86e968ce9342f6f26aa00c478903fccb21d3957a74d3097c00cb96606",
         'Final paths': "8dd5861a183a802fb8977908bf97eb8095d2a9000a22a9d58a89b9d61775f5b1",
-        'Final paths-0.tmp': "8dd5861a183a802fb8977908bf97eb8095d2a9000a22a9d58a89b9d61775f5b1",
         'ID-0.tmp': "833383df490dbac435cfb08dd5a90113a4384336398588f753b060ba74fa1425",
         'Index': "e4a897d265ca54731e19112f94c3ad23fc7305dab436b50d2cccd32207439aef",
-        'Index-0.tmp': "e4a897d265ca54731e19112f94c3ad23fc7305dab436b50d2cccd32207439aef",
         'Integrity-0.tmp': "543d5189deb7b58a91d46a1ce102fdda28bb38ff282882786c01056a9e014826",
         'Offsets': "26fd36633996484e666925642e8edb40854d8631f2dcae4b05bd4173fd0a63bf",
         'Traversability chance-0.tmp': "8fdc4dbf4d1a65ed62a52446415b9763c6a82f646cb2a86023c89a697f3462a0",
@@ -68,10 +64,8 @@ DIGESTS = {
         'Availability-0.tmp': "aad0c2902620ded0576aed06b7fe7b0feb6b54db61abfa7832b2b0336e1c7125",
         'Confidentiality-0.tmp': "fcc8e9e5595b86e9e01583058b3ac5cf6b9c29f004659983a0d771f0b6cdb76c",
         'Final paths': "c59e6ecd5fc79f91be0907ec1c8e468fe33bed72dedbcb8ebd326388c23816cc",
-        'Final paths-0.tmp': "c59e6ecd5fc79f91be0907ec1c8e468fe33bed72dedbcb8ebd326388c23816cc",
         'ID-0.tmp': "b05445fc1d172f593bba7af7762fe7c8f69fd94624c005e6c7384d84373aad32",
         'Index': "37ed28e18c2773db22ad6ddcc45dadfedd384dd7860a7e11bd422ce7b919f30e",
-        'Index-0.tmp': "37ed28e18c2773db22ad6ddcc45dadfedd384dd7860a7e11bd422ce7b919f30e",
         'Integrity-0.tmp': "0f2e6a2ed1ddab10faeed1b65ea1711ea3c6d08054450f10aaf46559d28ba4c2",
         'Offsets': "26fd36633996484e666925642e8edb40854d8631f2dcae4b05bd4173fd0a63bf",
         'Traversability chance-0.tmp': "ba4a529288d60d0fb43fe6084d89ba7c6d56e076cafb6d5dcfcdd6aa138f887a",

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import random
 import shutil
 import struct
@@ -31,6 +33,7 @@ from attackpaths.pathstore import (
     MIN_ENTITY_SIZE,
     NULL_MARKER_SIZE,
     OFFSETS_TITLE,
+    RUN_TITLES,
     ConnectionRecord,
     EntityRecord,
     FormatError,
@@ -429,8 +432,9 @@ class TestSortFiles:
             read_sort_file(bad, SortKey.AVAILABILITY)
 
 
-def build_run(tmp_path, worker_rows):
-    """worker_rows: list (per worker) of (record, MetricVector) pairs."""
+def write_workers(tmp_path, worker_rows):
+    """Write each worker's final-path, index and sort files, unmerged.
+    worker_rows: list (per worker) of (record, MetricVector) pairs."""
     for w, rows in enumerate(worker_rows):
         writer = PathWriter(tmp_path, w)
         metrics = []
@@ -439,7 +443,20 @@ def build_run(tmp_path, worker_rows):
             metrics.append((mv, pos))
         writer.close()
         write_all_sort_files(tmp_path, w, metrics)
+
+
+def build_run(tmp_path, worker_rows):
+    write_workers(tmp_path, worker_rows)
     return merge_final_and_index(tmp_path, list(range(len(worker_rows))))
+
+
+def stored_rows(directory, workers=1):
+    """The records of a merged run, split into ``workers`` lists of
+    (record, MetricVector) pairs for ``write_workers``."""
+    records = list(MergedStore(directory).iter_paths())
+    rows = [(r, MetricVector(r.id, 0.0, 0.0, 0.0, 0.0, 1.0)) for r in records]
+    size = -(-len(rows) // workers)
+    return [rows[i * size:(i + 1) * size] for i in range(workers)]
 
 
 def random_run(tmp_path, workers=4, per_worker=25, seed=3, tied=False):
@@ -559,10 +576,11 @@ class TestMerge:
                 assert len(expected) == min(k, n)
 
     def test_remerge_invalidates_sorted_files(self, tmp_path):
-        random_run(tmp_path)
+        worker_rows, _ = random_run(tmp_path)
         store = MergedStore(tmp_path)
         target = store.ensure_sorted(SortKey.ID)
         assert target.exists()
+        write_workers(tmp_path, worker_rows)
         merge_final_and_index(tmp_path, [0, 1, 2, 3])
         assert not target.exists()
         assert store.ensure_sorted(SortKey.ID).exists()
@@ -581,9 +599,10 @@ class TestMerge:
         ]
 
     def test_truncated_index_raises(self, tmp_path):
-        random_run(tmp_path)
+        worker_rows, _ = random_run(tmp_path)
         store = MergedStore(tmp_path)
         store.ensure_sorted(SortKey.ID)
+        write_workers(tmp_path, worker_rows)
         for index in (merged_file(tmp_path, INDEX_TITLE), worker_file(tmp_path, INDEX_TITLE, 0)):
             with open(index, "r+b") as fh:
                 fh.truncate(index.stat().st_size - 3)
@@ -600,6 +619,7 @@ class TestMerge:
 
     def test_failed_remerge_leaves_no_merged_paths(self, tmp_path):
         layered_run(tmp_path, workers=2)
+        write_workers(tmp_path, stored_rows(tmp_path, workers=2))
         index = worker_file(tmp_path, INDEX_TITLE, 0)
         with open(index, "r+b") as fh:
             fh.truncate(index.stat().st_size - 3)
@@ -612,6 +632,7 @@ class TestMerge:
 
     def test_missing_whole_records_raise(self, tmp_path):
         layered_run(tmp_path)
+        write_workers(tmp_path, stored_rows(tmp_path))
         for index in (merged_file(tmp_path, INDEX_TITLE), worker_file(tmp_path, INDEX_TITLE, 0)):
             with open(index, "r+b") as fh:
                 fh.truncate(index.stat().st_size - 8)
@@ -632,13 +653,66 @@ class TestMerge:
             metrics.append((MetricVector(i, 0, 0, 0, 0, 1.0), pos))
         w.close()
         write_all_sort_files(tmp_path, 0, metrics)
+        written = {
+            title: worker_file(tmp_path, title, 0).read_bytes()
+            for title in (FINAL_PATHS_TITLE, INDEX_TITLE)
+        }
         merge_final_and_index(tmp_path, [0])
-        merged = merged_file(tmp_path, FINAL_PATHS_TITLE).read_bytes()
-        assert merged == worker_file(tmp_path, FINAL_PATHS_TITLE, 0).read_bytes()
-        assert (
-            merged_file(tmp_path, INDEX_TITLE).read_bytes()
-            == worker_file(tmp_path, INDEX_TITLE, 0).read_bytes()
+        for title, content in written.items():
+            assert merged_file(tmp_path, title).read_bytes() == content, title
+
+    def test_merged_files_are_the_worker_files_concatenated_and_shifted(self, tmp_path):
+        rng = random.Random(11)
+        worker_rows = [
+            [(random_record(rng), MetricVector(0, 0.0, 0.0, 0.0, 0.0, 1.0)) for _ in range(n)]
+            for n in (7, 0, 12)
+        ]
+        write_workers(tmp_path, worker_rows)
+        finals = [worker_file(tmp_path, FINAL_PATHS_TITLE, w).read_bytes() for w in range(3)]
+        indexes = [worker_file(tmp_path, INDEX_TITLE, w).read_bytes() for w in range(3)]
+        offsets = merge_final_and_index(tmp_path, [0, 1, 2])
+        assert offsets == [0, len(finals[0]), len(finals[0]) + len(finals[1])]
+        assert merged_file(tmp_path, FINAL_PATHS_TITLE).read_bytes() == b"".join(finals)
+        assert merged_file(tmp_path, INDEX_TITLE).read_bytes() == b"".join(
+            i64.pack(pos + offset)
+            for index, offset in zip(indexes, offsets)
+            for (pos,) in i64.iter_unpack(index)
         )
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [FINAL_PATHS_TITLE, INDEX_TITLE, OFFSETS_TITLE]
+            + [f"{key.title}-{w}.tmp" for key in SortKey for w in range(3)]
+        )
+
+    def test_truncated_later_worker_index_moves_nothing(self, tmp_path):
+        worker_rows, _ = random_run(tmp_path, workers=3, per_worker=10, seed=4)
+        write_workers(tmp_path, worker_rows)
+        index = worker_file(tmp_path, INDEX_TITLE, 2)
+        with open(index, "r+b") as fh:
+            fh.truncate(index.stat().st_size - 3)
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("*.tmp")}
+        assert len(before) == 3 * (2 + len(SortKey))
+        with pytest.raises(FormatError, match="Index-2.tmp: truncated record"):
+            merge_final_and_index(tmp_path, [0, 1, 2])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_full_disk_while_appending_leaves_no_merged_file(self, tmp_path, monkeypatch):
+        worker_rows, _ = random_run(tmp_path, workers=3, per_worker=10, seed=4)
+        write_workers(tmp_path, worker_rows)
+        appended = []
+
+        def disk_full(src, dst, *args):
+            appended.append(Path(src.name).name)
+            dst.write(src.read(10))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(pathstore.shutil, "copyfileobj", disk_full)
+        with pytest.raises(OSError) as raised:
+            merge_final_and_index(tmp_path, [0, 1, 2])
+        assert raised.value.errno == errno.ENOSPC
+        assert appended == [f"{FINAL_PATHS_TITLE}-1.tmp"]
+        assert list(tmp_path.glob("*.partial")) == []
+        for title in RUN_TITLES:
+            assert not merged_file(tmp_path, title).exists(), title
 
 
 def metrics_net(chances=("0.5", "0.25"), impacts=RuleImpacts(availability=0.5, integrity=1.0)):
