@@ -144,14 +144,15 @@ def cmd_run(args) -> int:
     net = _load_model(args)
     out_dir = _resolve_out(args)
     tcfg = _traversal_config(args, net)
+    if args.mode == "single" and args.workers is not None:
+        raise CliError("--workers only applies to --mode multi")
     mode = ActionMode.EXECUTE if args.execute_actions else ActionMode.DRY_RUN
+    ecfg = _engine_config(args, tcfg, mode)
     if args.mode == "single":
-        if args.workers is not None:
-            raise CliError("--workers only applies to --mode multi")
-        executor = ActionExecutor(mode)
+        executor = ActionExecutor(ecfg.action_mode)
         _, summary = engine.run_single(net, tcfg, out_dir, executor=executor, progress=True)
     else:
-        _, summary = engine.run_multi(net, _engine_config(args, tcfg, mode), out_dir, progress=True)
+        _, summary = engine.run_multi(net, ecfg, out_dir, progress=True)
     _print_summary(summary, out_dir)
     return 0
 

@@ -6,7 +6,7 @@ the calling process, and ``run_multi`` in one forked process per worker.  A
 worker's failure surfaces as ``EngineError``; an error raised in the calling
 process, in either mode, is raised unchanged.
 ``search_loop`` applies every bound; a multi-worker run shares the counts it
-checks them against, its stop flag and its stop reason.
+checks them against and one stop word, which holds its stop reason.
 Whenever a worker's stack reaches the redistribution threshold and some
 other worker sits idle, the bottom half of the stack moves to the
 lowest-numbered idle worker.  An idle worker sleeps on its bell until a
@@ -21,8 +21,9 @@ A run checks its network and endpoints (``traversal.check_search``) before
 it touches its directory, so a bad input leaves an earlier run whole.  It
 then clears the directory, and whatever fails after that clears it again
 (``pathstore.clear_run``).  Each worker appends its finalized paths to its
-own file set and then writes its sort files.  The calling process merges
-the final-path and index files and commits the run by writing its summary.
+own file set and then writes its sort files.  The calling process folds the
+workers' summaries into one, merges the final-path and index files and
+commits the run by writing that summary.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .traversal import expand_path, single_threaded_search  # noqa: F401
 
 _WORKING = 0
 _IDLE = 1
-# Shared memory holds a stop reason as its index here; 0 is ``exhausted``.
+# ``SharedState.stop`` holds 1 + a stop reason's index here; 0 while the run goes on.
 _STOP_REASONS = tuple(StopReason)
 
 
@@ -88,14 +89,14 @@ class EngineConfig:
 
 
 class SharedState:
-    """Coordination primitives shared by all workers of one run."""
+    """Coordination primitives shared by all workers of one run.  ``stop``
+    is the stop word (see ``_STOP_REASONS``); ``_request_stop`` writes it once."""
 
     def __init__(self, ctx, worker_count: int):
         self.worker_count = worker_count
         self.coord_lock = ctx.Lock()
         self.status = ctx.Array("i", [_WORKING] * worker_count, lock=False)
         self.stop = ctx.Value("i", 0, lock=False)
-        self.stop_reason = ctx.Value("i", 0, lock=False)
         self.finals = ctx.Value("i", 0)
         self.steps = ctx.Value("q", 0)
         self.bells = [ctx.Semaphore(0) for _ in range(worker_count)]
@@ -133,13 +134,12 @@ def _add_one(counter) -> int:
 
 
 def _request_stop(shared: SharedState, reason: StopReason = StopReason.EXHAUSTED) -> None:
-    """Wind the whole run down; the first request sets the stop reason and
-    wakes every idle worker."""
+    """Wind the whole run down; the first request sets the stop word, and
+    with it the stop reason, and wakes every idle worker."""
     with shared.finals.get_lock():
         first = shared.stop.value == 0
         if first:
-            shared.stop.value = 1
-            shared.stop_reason.value = _STOP_REASONS.index(reason)
+            shared.stop.value = 1 + _STOP_REASONS.index(reason)
     if first:
         for bell in shared.bells:
             bell.release()
@@ -169,6 +169,11 @@ class SharedScheduler:
             stack.extend(batch)
         return False
 
+    @property
+    def stop_reason(self) -> Optional[StopReason]:
+        word = self.shared.stop.value
+        return _STOP_REASONS[word - 1] if word else None
+
     def stop(self, reason: StopReason) -> None:
         _request_stop(self.shared, reason)
 
@@ -186,9 +191,10 @@ def _print_progress(count: int) -> None:
 def _search_to_files(
     net: Network, config: TraversalConfig, scheduler, out_dir,
     executor: Optional[ActionExecutor], progress: bool,
-) -> tuple[RunSummary, float, float]:
+) -> RunSummary:
     """Run one worker's search into its path files, then write its sort files.
-    Returns its summary and the times its search and its sort ended."""
+    Returns its summary; its ``sort_merge_seconds`` run from the search's end
+    to this worker's finish."""
     writer = PathWriter(out_dir, scheduler.worker)
     metrics: list[tuple] = []
 
@@ -201,9 +207,9 @@ def _search_to_files(
         )
     finally:
         writer.close()
-    done_at = time.perf_counter()
     pathstore.write_all_sort_files(out_dir, scheduler.worker, metrics)
-    return summary, done_at, time.perf_counter()
+    summary.sort_merge_seconds = time.perf_counter() - scheduler.started - summary.elapsed_seconds
+    return summary
 
 
 def _worker_main(
@@ -269,15 +275,18 @@ def _prepare_out_dir(out_dir) -> Path:
 
 def _run(net: Network, config: TraversalConfig, out_dir, search) -> tuple[MergedStore, RunSummary]:
     """Check the inputs, then clear the directory, run ``search(out_path)``,
-    which returns the run's summary and worker count, merge the workers'
-    files and commit the run by writing its summary.  Whatever fails after
-    the check clears the run and is raised."""
+    which returns one summary per worker, fold them into the run's summary,
+    merge the workers' files and commit the run by writing that summary.
+    Whatever fails after the check clears the run and is raised."""
     check_search(net, config)
     out_path = _prepare_out_dir(out_dir)
     try:
-        summary, workers = search(out_path)
+        parts = search(out_path)
+        summary = RunSummary()
+        for part in parts:
+            summary.merge(part)
         merge_start = time.perf_counter()
-        pathstore.merge_final_and_index(out_path, list(range(workers)))
+        pathstore.merge_final_and_index(out_path, list(range(len(parts))))
         summary.sort_merge_seconds += time.perf_counter() - merge_start
         pathstore.write_run_summary(out_path, summary)
     except BaseException:
@@ -286,8 +295,8 @@ def _run(net: Network, config: TraversalConfig, out_dir, search) -> tuple[Merged
     return MergedStore(out_path), summary
 
 
-def _wait_for_workers(shared: SharedState, procs: list) -> list[tuple]:
-    """Each worker's result, once every worker has exited; a worker that
+def _wait_for_workers(shared: SharedState, procs: list) -> list[RunSummary]:
+    """Each worker's summary, once every worker has exited; a worker that
     failed, died or hung raises ``EngineError``."""
     messages = []
     failure = None
@@ -348,15 +357,7 @@ def run_multi(
         ]
         for p in procs:
             p.start()
-        parts, searches_done, sorts_done = zip(*_wait_for_workers(shared, procs))
-        summary = RunSummary()
-        for part in parts:
-            summary.merge(part)
-        done_at, sort_done_at = max(searches_done), max(sorts_done)
-        summary.elapsed_seconds = done_at - started
-        summary.sort_merge_seconds = sort_done_at - done_at
-        summary.stop_reason = _STOP_REASONS[shared.stop_reason.value]
-        return summary, workers
+        return _wait_for_workers(shared, procs)
 
     return _run(net, config.traversal, out_dir, search)
 
@@ -372,14 +373,7 @@ def run_single(
     one-worker ``run_multi`` writes; with no ``executor``, actions run dry."""
 
     def search(out_path):
-        started = time.perf_counter()
-        scheduler = LocalScheduler(started)
-        summary, done_at, sort_done_at = _search_to_files(
-            net, config, scheduler, out_path, executor, progress
-        )
-        summary.elapsed_seconds = done_at - started
-        summary.sort_merge_seconds = sort_done_at - done_at
-        summary.stop_reason = scheduler.stop_reason
-        return summary, 1
+        scheduler = LocalScheduler(time.perf_counter())
+        return [_search_to_files(net, config, scheduler, out_path, executor, progress)]
 
     return _run(net, config, out_dir, search)

@@ -689,25 +689,23 @@ def export_dot(net: Network) -> str:
     return "\n".join(lines) + "\n"
 
 
-def find_container(net: Network, key: str) -> int:
-    """Resolve a container given by numeric ID or name."""
-    if key.lstrip("-").isdigit() and int(key) in net.containers_by_id:
+def _find(kind: str, by_id: dict, items, key: str) -> int:
+    """Resolve a ``kind`` given by numeric ID or by a unique name."""
+    if key.lstrip("-").isdigit() and int(key) in by_id:
         return int(key)
-    matches = [c.id for c in net.containers if c.name == key]
+    matches = [item.id for item in items if item.name == key]
     if len(matches) == 1:
         return matches[0]
     if len(matches) > 1:
-        raise ModelError(f"container name {key!r} is ambiguous")
-    raise ModelError(f"unknown container {key!r}")
+        raise ModelError(f"{kind} name {key!r} is ambiguous")
+    raise ModelError(f"unknown {kind} {key!r}")
+
+
+def find_container(net: Network, key: str) -> int:
+    """Resolve a container given by numeric ID or name."""
+    return _find("container", net.containers_by_id, net.containers, key)
 
 
 def find_fact(net: Network, key: str) -> int:
     """Resolve a fact given by numeric ID or name."""
-    if key.lstrip("-").isdigit() and int(key) in net.facts_by_id:
-        return int(key)
-    matches = [f.id for f in net.facts_by_id.values() if f.name == key]
-    if len(matches) == 1:
-        return matches[0]
-    if len(matches) > 1:
-        raise ModelError(f"fact name {key!r} is ambiguous")
-    raise ModelError(f"unknown fact {key!r}")
+    return _find("fact", net.facts_by_id, net.facts_by_id.values(), key)

@@ -143,9 +143,6 @@ class MetricVector:
     total_run_time: float
     traversability_chance: float
 
-    def value_for(self, key: SortKey):
-        return getattr(self, key.name.lower())
-
 
 def compute_metrics(path: TraversalPath, net: Network) -> MetricVector:
     """Metrics recorded per finalized path of a checked network (see

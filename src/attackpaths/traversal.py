@@ -383,8 +383,10 @@ def _chain(a: tuple[int, int], b: tuple[int, int], better) -> tuple[int, int]:
 @dataclass
 class RunSummary:
     """What a run found, how long it took and why it stopped.  ``add`` counts
-    one final path and ``merge`` folds in another worker's counts; the timing
-    fields and the stop reason are set by whoever ran the search."""
+    one final path.  ``merge`` folds in another worker's summary: the counts
+    add, the later search end and the later finish (``elapsed_seconds +
+    sort_merge_seconds``) win, and so does a stop reason other than
+    ``exhausted``."""
 
     total_final_paths: int = 0
     total_connections: int = 0
@@ -413,6 +415,11 @@ class RunSummary:
         self.shortest_chain = _chain(self.shortest_chain, other.shortest_chain, min)
         self.actions_run += other.actions_run
         self.action_failures += other.action_failures
+        finished = max(s.elapsed_seconds + s.sort_merge_seconds for s in (self, other))
+        self.elapsed_seconds = max(self.elapsed_seconds, other.elapsed_seconds)
+        self.sort_merge_seconds = finished - self.elapsed_seconds
+        if self.stop_reason is StopReason.EXHAUSTED:
+            self.stop_reason = other.stop_reason
 
     def to_dict(self) -> dict:
         """The summary file's document: one key per field, in field order.
@@ -434,15 +441,14 @@ class LocalScheduler:
         self.started = started
         self.steps = 0
         self.finals = 0
-        self.stopped = False
-        self.stop_reason = StopReason.EXHAUSTED
+        self.stop_reason: Optional[StopReason] = None
 
     def keep_going(self, stack: list) -> bool:
-        return not self.stopped and bool(stack)
+        return self.stop_reason is None and bool(stack)
 
     def stop(self, reason: StopReason) -> None:
-        if not self.stopped:
-            self.stopped, self.stop_reason = True, reason
+        if self.stop_reason is None:
+            self.stop_reason = reason
 
     def note_final(self) -> int:
         self.finals += 1
@@ -464,9 +470,10 @@ def search_loop(
     and may refill an empty stack.  The bounds are applied here, against the
     scheduler's run-wide counts: the N-th final path stops the run with
     ``max-paths``, even where the search would have ended anyway.  Finalized
-    paths go to ``sink`` and into the returned summary, whose timing and
-    stop reason the caller sets.  With no ``executor``, actions run dry; the
-    summary counts only the action records this search adds."""
+    paths go to ``sink`` and into the returned summary, stamped with the
+    seconds since ``scheduler.started`` and the run's stop reason
+    (``exhausted`` when none was set).  With no ``executor``, actions run
+    dry; the summary counts only the action records this search adds."""
     executor = executor or ActionExecutor()
     path_ids = itertools.count(scheduler.worker, scheduler.workers)
     conn_ids = itertools.count(scheduler.worker, scheduler.workers)
@@ -502,6 +509,8 @@ def search_loop(
     records = executor.records[first_record:]
     summary.actions_run = len(records)
     summary.action_failures = sum(1 for r in records if r.status.startswith("failed"))
+    summary.elapsed_seconds = time.perf_counter() - scheduler.started
+    summary.stop_reason = scheduler.stop_reason or StopReason.EXHAUSTED
     return summary
 
 
@@ -514,9 +523,4 @@ def single_threaded_search(
     ``search_loop`` describes, after ``check_search``.  Finalized paths are
     handed to ``sink`` in discovery order."""
     check_search(net, config)
-    started = time.perf_counter()
-    scheduler = LocalScheduler(started)
-    summary = search_loop(net, config, scheduler, sink, executor, progress)
-    summary.elapsed_seconds = time.perf_counter() - started
-    summary.stop_reason = scheduler.stop_reason
-    return summary
+    return search_loop(net, config, LocalScheduler(time.perf_counter()), sink, executor, progress)

@@ -214,7 +214,7 @@ def test_criterion_5_merge_and_sort_order(tmp_path):
             for w, rows in enumerate(worker_rows):
                 pos = 0
                 for r, mv in rows:
-                    oracle.append((-mv.value_for(key), pos + offsets[w]))
+                    oracle.append((-getattr(mv, key.name.lower()), pos + offsets[w]))
                     pos += len(encode_path(r))
             oracle.sort()
             got = store.sorted_positions(key)

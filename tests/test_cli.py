@@ -111,6 +111,22 @@ class TestRun:
         assert rc == 1
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--redistribution-threshold", "1"], "redistribution_threshold must be at least 2"),
+        (["--workers", "0"], "--workers only applies to --mode multi"),
+    ], ids=["redistribution-threshold-1", "workers-0"])
+    def test_single_mode_checks_the_engine_config(
+        self, flags, message, fixture_model, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        rc = run_cli(
+            "run", "--model", fixture_model, "--start", "1", "--end", "2",
+            "--mode", "single", "--out", str(out), *flags,
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_start_container(self, fixture_model, tmp_path, capsys):
         rc = run_cli(
             "run", "--model", fixture_model, "--start", "C9", "--end", "C2",

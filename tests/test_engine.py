@@ -132,7 +132,7 @@ class TestScheduler:
         thread, got = self.idle(shared, 0)
         thread.join(timeout=5.0)
         assert got == {"batch": None}
-        assert (shared.stop.value, shared.stop_reason.value) == (1, 0)
+        assert SharedScheduler(shared, 0, 10, 0.0).stop_reason is StopReason.EXHAUSTED
 
     def test_transfer_receiver_keeps_the_run_going(self):
         # Worker 1 sleeps, worker 0 hands it work and goes idle: worker 1 is
@@ -148,11 +148,12 @@ class TestScheduler:
         giver.join(timeout=0.2)
         assert giver.is_alive()
         assert shared.stop.value == 0
+        assert SharedScheduler(shared, 0, 10, 0.0).stop_reason is None
         last, ended = self.idle(shared, 1)
         last.join(timeout=5.0)
         giver.join(timeout=5.0)
         assert ended == woken == {"batch": None}
-        assert (shared.stop.value, shared.stop_reason.value) == (1, 0)
+        assert SharedScheduler(shared, 0, 10, 0.0).stop_reason is StopReason.EXHAUSTED
 
     def test_idle_wait_after_stop_returns_at_once(self):
         shared = SharedState(CTX, 2)
@@ -161,7 +162,8 @@ class TestScheduler:
         thread, got = self.idle(shared, 0)
         thread.join(timeout=0.5)
         assert got == {"batch": None}
-        assert _STOP_REASONS[shared.stop_reason.value] is StopReason.MAX_PATHS
+        assert shared.stop.value == 1 + _STOP_REASONS.index(StopReason.MAX_PATHS)
+        assert SharedScheduler(shared, 0, 10, 0.0).stop_reason is StopReason.MAX_PATHS
 
     def test_note_final_sets_stop_at_limit(self):
         # One worker of one, in this process: the shared count reaches the
@@ -173,8 +175,8 @@ class TestScheduler:
         scheduler = SharedScheduler(shared, 0, 10, time.perf_counter())
         summary = search_loop(net, cfg, scheduler, lambda path: None)
         assert summary.total_final_paths == shared.finals.value == 3
-        assert shared.stop.value == 1
-        assert _STOP_REASONS[shared.stop_reason.value] is StopReason.MAX_PATHS
+        assert scheduler.stop_reason is summary.stop_reason is StopReason.MAX_PATHS
+        assert shared.stop.value == 1 + _STOP_REASONS.index(StopReason.MAX_PATHS)
         # No max_steps, so no step was counted.
         assert (scheduler.note_final(), scheduler.tick()) == (4, 1)
 
@@ -243,6 +245,17 @@ class TestMultiWorker:
             filter_net, EngineConfig(cfg, worker_count=3), tmp_path / "m",
         )
         assert canonical_run(tmp_path / "s") == canonical_run(tmp_path / "m")
+
+    def test_worker_timings_fold_within_the_call(self, tmp_path):
+        net = generate_model(SyntheticSpec("layered", width=3, depth=3))
+        start, end = start_and_end(net)
+        began = time.perf_counter()
+        _, summary = run_multi(
+            net, EngineConfig(TraversalConfig(start=start, end=end), worker_count=2), tmp_path
+        )
+        wall = time.perf_counter() - began
+        assert summary.elapsed_seconds > 0 and summary.sort_merge_seconds > 0
+        assert summary.elapsed_seconds + summary.sort_merge_seconds <= wall
 
     def test_matches_single_on_layered(self, tmp_path):
         net = generate_model(SyntheticSpec("layered", width=3, depth=3))

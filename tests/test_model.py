@@ -396,13 +396,22 @@ class TestLookups:
     def test_find_container_ambiguous(self):
         net = tiny_net(containers=(Container(1, "dup"), Container(2, "dup")), links=(),
                        generic_rules=())
-        with pytest.raises(ModelError, match="ambiguous"):
+        with pytest.raises(ModelError, match="container name 'dup' is ambiguous"):
             find_container(net, "dup")
+
+    def test_find_fact_ambiguous(self):
+        net = tiny_net(containers=(
+            Container(1, "A", (Fact(10, "dup", True, 1),)),
+            Container(2, "B", (Fact(11, "dup", False, 1),)),
+        ))
+        with pytest.raises(ModelError, match="fact name 'dup' is ambiguous"):
+            find_fact(net, "dup")
+        assert find_fact(net, "11") == 11
 
     def test_find_fact(self, filter_net):
         assert find_fact(filter_net, "F5") == 5
         assert find_fact(filter_net, "6") == 6
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="unknown fact 'nope'"):
             find_fact(filter_net, "nope")
 
 

@@ -4,7 +4,7 @@ import os
 import random
 import shutil
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -531,7 +531,7 @@ class TestMerge:
             for w, rows in enumerate(worker_rows):
                 pos = 0
                 for record, mv in rows:
-                    value = mv.value_for(key)
+                    value = getattr(mv, key.name.lower())
                     oracle.append((-value, pos + offsets[w]))
                     pos += len(encode_path(record))
             oracle.sort()
@@ -794,14 +794,12 @@ class TestMetrics:
         with pytest.raises(ModelValidationError, match=message):
             check_search(net, TraversalConfig(start=1, end=3))
 
-    def test_value_for_covers_every_key(self):
+    def test_every_sort_key_names_a_metric_field(self):
+        # write_all_sort_files reads each key's column by this name.
+        names = sorted(f.name for f in fields(MetricVector))
+        assert sorted(key.name.lower() for key in SortKey) == names
         mv = MetricVector(3, 0.1, 0.2, 0.3, 4.0, 0.5)
-        assert mv.value_for(SortKey.ID) == 3
-        assert mv.value_for(SortKey.AVAILABILITY) == 0.1
-        assert mv.value_for(SortKey.CONFIDENTIALITY) == 0.2
-        assert mv.value_for(SortKey.INTEGRITY) == 0.3
-        assert mv.value_for(SortKey.TOTAL_RUN_TIME) == 4.0
-        assert mv.value_for(SortKey.TRAVERSABILITY_CHANCE) == 0.5
+        assert getattr(mv, SortKey.TOTAL_RUN_TIME.name.lower()) == 4.0
 
 
 class TestRecords:

@@ -3,6 +3,7 @@ from dataclasses import replace
 from itertools import count
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attackpaths.filters import bind_filter, parse_filter
 from attackpaths.model import (
@@ -633,6 +634,72 @@ class TestRunSummaryMerge:
         halves[0].merge(halves[1])
         halves[0].elapsed_seconds = whole.elapsed_seconds
         assert halves[0] == whole
+
+    @pytest.mark.parametrize("a,b,folded", [
+        ((5.0, 1.0), (5.9, 0.6), (5.9, 0.6)),
+        ((5.0, 2.0), (5.9, 0.6), (5.9, 1.1)),
+    ])
+    def test_merge_keeps_the_latest_search_end_and_finish(self, a, b, folded):
+        for first, second in ((a, b), (b, a)):
+            s = RunSummary(elapsed_seconds=first[0], sort_merge_seconds=first[1])
+            s.merge(RunSummary(elapsed_seconds=second[0], sort_merge_seconds=second[1]))
+            assert (s.elapsed_seconds, s.sort_merge_seconds) == pytest.approx(folded)
+
+    @pytest.mark.parametrize("a,b,folded", [
+        (StopReason.EXHAUSTED, StopReason.MAX_PATHS, StopReason.MAX_PATHS),
+        (StopReason.MAX_PATHS, StopReason.EXHAUSTED, StopReason.MAX_PATHS),
+        (StopReason.EXHAUSTED, StopReason.EXHAUSTED, StopReason.EXHAUSTED),
+    ])
+    def test_merge_keeps_a_stop_reason_other_than_exhausted(self, a, b, folded):
+        s = RunSummary(stop_reason=a)
+        s.merge(RunSummary(stop_reason=b))
+        assert s.stop_reason is folded
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 50), st.integers(1, 9), st.integers(0, 5),
+                st.floats(0.0, 1e4), st.floats(0.0, 1e4), st.booleans(),
+            ),
+            min_size=1, max_size=4,
+        ),
+        st.sampled_from([StopReason.MAX_PATHS, StopReason.TIME_LIMIT]),
+        st.data(),
+    )
+    def test_worker_summaries_fold_in_any_order(self, workers, reason, data):
+        # One summary per worker, as a run's workers return them: all that
+        # stopped saw the run's one stop reason.
+        parts = [
+            RunSummary(
+                total_final_paths=paths, total_connections=paths * chain,
+                total_rules_triggered=actions,
+                longest_chain=(chain, paths) if paths else (0, 0),
+                shortest_chain=(chain, paths) if paths else (0, 0),
+                elapsed_seconds=searched, sort_merge_seconds=sorted_,
+                stop_reason=reason if stopped else StopReason.EXHAUSTED,
+                actions_run=actions,
+            )
+            for paths, chain, actions, searched, sorted_, stopped in workers
+        ]
+
+        def fold(summaries):
+            total = RunSummary()
+            for part in summaries:
+                total.merge(part)
+            return total
+
+        a, b = fold(parts), fold(data.draw(st.permutations(parts)))
+        timings = {"elapsed_seconds": 0.0, "sort_merge_seconds": 0.0}
+        assert replace(a, **timings) == replace(b, **timings)
+        assert a.total_final_paths == sum(p.total_final_paths for p in parts)
+        assert a.stop_reason is (reason if any(w[-1] for w in workers) else StopReason.EXHAUSTED)
+        assert a.elapsed_seconds == b.elapsed_seconds == max(p.elapsed_seconds for p in parts)
+        finish = max(p.elapsed_seconds + p.sort_merge_seconds for p in parts)
+        for folded in (a, b):
+            assert folded.elapsed_seconds + folded.sort_merge_seconds == pytest.approx(
+                finish, abs=1e-9
+            )
 
 
 FULL_SUMMARY = RunSummary(
