@@ -492,10 +492,14 @@ def _normal_postcondition(p) -> Union[FactCondition, PropertyAssignment]:
     raise ValueError("need either 'fact' or 'property'")
 
 
+_POSITIONS = {p.value: p for p in Position}
+
+
 def _property_condition(c) -> PropertyCondition:
-    if c["position"] not in ("start", "end", "link"):
+    position = _POSITIONS.get(c["position"]) if isinstance(c["position"], str) else None
+    if position is None:
         raise ValueError("position must be start, end or link")
-    return PropertyCondition(Position(c["position"]), _as_int(c["property"]), _as_bool(c["value"]))
+    return PropertyCondition(position, _as_int(c["property"]), _as_bool(c["value"]))
 
 
 def _rule(r, cls, pre, post):

@@ -5,8 +5,8 @@ Each fixed-width record shape has one ``struct.Struct``, from which the size
 constants derive.  A file of such records is read a block at a time by
 ``_records``; a partial trailing record raises ``FormatError`` naming the file.
 Path records are variable-width: ``decode_path`` decodes one from a buffer
-into named tuples, and each ``MergedStore`` interns entity records by their
-bytes (up to ``_INTERN_LIMIT``), so the records it returns may share them.
+into named tuples; each ``MergedStore`` interns entity records and environment
+fact lists by their bytes (``_INTERN_LIMIT`` in all), so its records may share them.
 The search is depth-first, so consecutive records often begin with the same
 connections, byte for byte; one pass or one query decodes each such run once
 and shares its ``ConnectionRecord``s, matched by their bytes.
@@ -68,7 +68,7 @@ _BOOLS = (False, True)
 _BLOCK_RECORDS = 8192
 # Bytes of ``Final paths`` read at a time; a longer record is read whole.
 _READ_BLOCK = 1 << 16
-# Entity records a store shares by their bytes; the table is never evicted.
+# Entity records and fact lists a store shares by their bytes; never evicted.
 _INTERN_LIMIT = 4096
 _new = tuple.__new__  # builds a record without the named tuple's Python-level __new__
 
@@ -269,10 +269,8 @@ def encode_path(path: PathRecord) -> bytes:
 def _facts(buf, pos: int, n: int, owner: str, ident: int) -> tuple[tuple[int, bool], ...]:
     """The ``n`` fact records at ``buf[pos:]``; ``owner`` and ``ident`` only
     name the record in an error."""
-    if n <= 0:
-        if n < 0:
-            raise FormatError(f"{owner} {ident}: negative fact count {n}")
-        return ()
+    if n < 0:
+        raise FormatError(f"{owner} {ident}: negative fact count {n}")
     end = pos + n * FACT_RECORD_SIZE
     if end > len(buf):
         raise _Truncated(f"truncated record: {n} facts of {owner} {ident} run past its end")
@@ -283,10 +281,25 @@ def _facts(buf, pos: int, n: int, owner: str, ident: int) -> tuple[tuple[int, bo
         raise FormatError(f"fact {fid}: value byte {raw} is not 0 or 1") from None
 
 
+def _shared_facts(buf, pos: int, n: int, seen: dict, owner: str, ident: int):
+    """``_facts`` for the list of ``n`` facts counted at ``buf[pos]``, shared
+    through ``seen`` by the list's whole byte extent."""
+    end = pos + 4 + n * FACT_RECORD_SIZE
+    key = buf[pos:end]
+    facts = seen.get(key) if end <= len(buf) else None
+    if facts is None:
+        facts = _facts(buf, pos + 4, n, owner, ident)
+        if len(seen) < _INTERN_LIMIT:
+            seen[key] = facts
+    return facts
+
+
 def decode_path(buf, pos: int, seen: dict, prefix: list) -> tuple[PathRecord, int]:
     """The path record at byte ``pos`` of ``buf`` and the offset past it.
-    ``seen`` maps entity bytes to a record shared in place of decoding them;
-    new entities join it while it holds fewer than ``_INTERN_LIMIT``.
+    ``seen`` maps the bytes of an entity, or of a non-empty fact list from its
+    count on, to the value shared in place of decoding them.  Only whole
+    extents are looked up, so a cut one never matches; new values join while
+    it holds fewer than ``_INTERN_LIMIT``.
     ``prefix`` holds a ``(bytes, ConnectionRecord)`` pair per connection of
     the record decoded before: leading connections whose bytes equal its
     entries' share their records, and the list is rewritten for this one."""
@@ -315,11 +328,9 @@ def decode_path(buf, pos: int, seen: dict, prefix: list) -> tuple[PathRecord, in
                     fields.append(None)
                     pos += 4
                     continue
-                # The key is the entity's whole byte extent, so a truncated
-                # entity (a shorter slice) never matches a stored one.
                 end = pos + 8 + n * FACT_RECORD_SIZE
                 key = buf[pos:end]
-                entity = seen.get(key)
+                entity = seen.get(key) if end <= len(buf) else None
                 if entity is None:
                     entity = _new(EntityRecord, (ident, _facts(buf, pos + 8, n, "entity", ident)))
                     if len(seen) < _INTERN_LIMIT:
@@ -327,13 +338,13 @@ def decode_path(buf, pos: int, seen: dict, prefix: list) -> tuple[PathRecord, in
                 fields.append(entity)
                 pos = end
             (n,) = _I32.unpack_from(buf, pos)
-            fields.append(_facts(buf, pos + 4, n, "connection", cid))
+            fields.append(_shared_facts(buf, pos, n, seen, "connection", cid) if n else ())
             pos += 4 + n * FACT_RECORD_SIZE
             conn = _new(ConnectionRecord, fields)
             conns.append(conn)
             prefix.append((buf[start:pos], conn))
         (n,) = _I32.unpack_from(buf, pos)
-        env = _facts(buf, pos + 4, n, "path", pid)
+        env = _shared_facts(buf, pos, n, seen, "path", pid) if n else ()
     except struct.error:
         raise _Truncated("truncated record") from None
     return _new(PathRecord, (pid, tuple(conns), env)), pos + 4 + n * FACT_RECORD_SIZE
@@ -545,8 +556,8 @@ class MergedStore:
         self._finals = merged_file(self.directory, FINAL_PATHS_TITLE)
         self._index = merged_file(self.directory, INDEX_TITLE)
         self._sorted = {key: merged_file(self.directory, key.title) for key in SortKey}
-        # Entity bytes -> record, shared by every path read (``decode_path``).
-        self._entities: dict[bytes, EntityRecord] = {}
+        # Entity or fact-list bytes -> value, shared by every path read (``decode_path``).
+        self._entities: dict[bytes, tuple] = {}
 
     @property
     def count(self) -> int:

@@ -159,6 +159,16 @@ class TestParseErrors:
         with pytest.raises(ModelParseError, match="start, end or link"):
             parse_network(json.dumps(doc))
 
+    @pytest.mark.parametrize("position", [3, 1.5, None, True, ["start"], {"start": 1}])
+    def test_position_that_is_not_a_string(self, position):
+        doc = {
+            "generic_rules": [
+                {"id": 1, "preconditions": [{"position": position, "property": 1, "value": True}]}
+            ]
+        }
+        with pytest.raises(ModelParseError, match="position must be start, end or link"):
+            parse_network(json.dumps(doc))
+
     def test_non_boolean_fact_value(self):
         doc = {"containers": [{"id": 1, "facts": [{"id": 2, "value": 1}]}]}
         with pytest.raises(ModelParseError, match="expected a boolean"):

@@ -72,12 +72,15 @@ DIGESTS = {
     },
 }
 
-# SHA-256 of ``repr(list(store.iter_paths()))`` per case.
+# SHA-256 of ``repr(list(store.iter_paths()))`` per case.  ``rule-heavy-1``
+# is the full-size benchmark workload: 64 paths, each carrying 32
+# environment facts.
 DECODED = {
     "filter": "6ecb5a1d0c9148a1e9181706670ede0e760bffc07f46fe850550216a3bf6b7ff",
     "filter-F4-F5": "4813277a128a74316d8da1dda3dbe7db9008b50edf7bd125e3677788f68baeea",
     "layered-4-4": "c2351894df130d59a7f5899cfbc98aac8eb621dde7a8709373409fd958c5ee94",
     "rule-heavy-tiny-1": "2405c528053b02e704ea6cbe9ab3b99589efe709667b91c1712eed036e6663a2",
+    "rule-heavy-1": "739f0064af51b25a4fcd5af59c625b94188cbd99634e39fd23ae5000d9b8143b",
 }
 
 
@@ -90,7 +93,7 @@ def case(name, filter_net):
     if name == "layered-4-4":
         net = generate_model(SyntheticSpec("layered", width=4, depth=4))
         return net, TraversalConfig(*start_and_end(net))
-    w = workloads.build("rule-heavy", 1, "tiny")
+    w = workloads.build("rule-heavy", 1, "tiny" if name.endswith("tiny-1") else "full")
     flt = bind_filter(parse_filter(w.filter_text), w.network, w.end)
     return w.network, TraversalConfig(w.start, w.end, completion_filter=flt)
 

@@ -4,6 +4,8 @@ import os
 import random
 import shutil
 import struct
+import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -11,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attackpaths import pathstore
+from attackpaths.engine import run_single
+from attackpaths.filters import bind_filter, parse_filter
 from attackpaths.model import (
     CommonProperty,
     Container,
@@ -68,8 +72,32 @@ from attackpaths.traversal import (
 
 from support import layered_run, random_record
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import workloads  # noqa: E402
+
 i32 = struct.Struct("<i")
 i64 = struct.Struct("<q")
+
+
+def rule_heavy_run(out_dir):
+    """Run the tiny ``rule-heavy`` workload, seed 1, into ``out_dir``: 4 paths
+    that end in one environment state, through 16 connections that all carry
+    one list of environment changes."""
+    w = workloads.build("rule-heavy", 1, "tiny")
+    flt = bind_filter(parse_filter(w.filter_text), w.network, w.end)
+    return run_single(w.network, TraversalConfig(w.start, w.end, completion_filter=flt), out_dir)
+
+
+def fact_lists(record: PathRecord) -> list[tuple]:
+    """The non-empty environment-fact lists of ``record``: its connections'
+    changes, then its final environment."""
+    return [f for f in (*(c.env_facts for c in record.connections), record.env_facts) if f]
+
+
+def fact_list_bytes(facts) -> bytes:
+    """A fact list's stored bytes, from its int32 count through its last fact."""
+    return encode_path(PathRecord(0, (), facts))[8:]
 
 
 class TestByteLayout:
@@ -221,6 +249,64 @@ class TestDecodeErrors:
             with pytest.raises(FormatError, match="truncated"):
                 decode_path(whole[:cut], 0, seen, [])
 
+    def test_every_cut_in_an_interned_fact_list_is_truncated(self):
+        conn = ConnectionRecord(2, EntityRecord(3, ((4, True),)), None, None, ((5, True), (6, False)))
+        record = PathRecord(1, (conn,), ((7, True), (8, False), (9, True)))
+        whole = encode_path(record)
+        seen, prefix = {}, []
+        assert decode_path(whole, 0, seen, prefix) == (record, len(whole))
+        interned = dict(seen)
+        assert fact_list_bytes(conn.env_facts) in seen and fact_list_bytes(record.env_facts) in seen
+        env_at = len(whole) - len(fact_list_bytes(record.env_facts))
+        changes_at = env_at - len(fact_list_bytes(conn.env_facts))
+        for cut in range(changes_at, len(whole)):
+            for shared in ([], list(prefix)):
+                with pytest.raises(FormatError, match="truncated"):
+                    decode_path(whole[:cut], 0, seen, shared)
+        assert seen == interned
+
+    def test_a_cut_entity_does_not_match_an_interned_fact_list(self):
+        facts = ((3, True),)
+        entity = EntityRecord(1, ((1, True), (2, False), (3, True)))
+        # The entity's first 9 bytes are those of the whole fact list.
+        assert encode_entity(entity).startswith(fact_list_bytes(facts))
+        seen = {}
+        decode_path(encode_path(PathRecord(1, (), facts)), 0, seen, [])
+        assert list(seen) == [fact_list_bytes(facts)]
+        cut = path_with_entity(encode_entity(entity))[:12 + len(fact_list_bytes(facts))]
+        with pytest.raises(FormatError, match="truncated"):
+            decode_path(cut, 0, seen, [])
+
+    def test_a_cut_fact_list_does_not_match_an_interned_entity(self):
+        facts = ((1, True), (0, False))
+        entity = EntityRecord(2, ((1, False),))
+        # The fact list's first 13 bytes are those of the whole entity.
+        assert fact_list_bytes(facts).startswith(encode_entity(entity))
+        seen = {}
+        decode_path(path_with_entity(encode_entity(entity)), 0, seen, [])
+        assert list(seen) == [encode_entity(entity)]
+        cut = encode_path(PathRecord(1, (), facts))[:8 + len(encode_entity(entity))]
+        with pytest.raises(FormatError, match="truncated"):
+            decode_path(cut, 0, seen, [])
+
+    def test_bad_bytes_in_a_fact_list_raise_after_an_equal_count_was_interned(self):
+        conn = ConnectionRecord(2, None, None, None, ((5, True), (6, False)))
+        good = encode_path(PathRecord(1, (conn,), ((7, True), (8, False))))
+        seen, prefix = {}, []
+        decode_path(good, 0, seen, prefix)
+        changes_at, env_at = 8 + 4 + 3 * NULL_MARKER_SIZE, len(good) - 4 - 2 * FACT_RECORD_SIZE
+
+        def patched(at: int, data: bytes) -> bytes:
+            return good[:at] + data + good[at + len(data):]
+
+        for fid, at in ((6, changes_at + 4 + FACT_RECORD_SIZE), (8, env_at + 4 + FACT_RECORD_SIZE)):
+            assert good[at:at + 5] == i32.pack(fid) + b"\x00"
+            with pytest.raises(FormatError, match=f"fact {fid}: value byte 2"):
+                decode_path(patched(at + 4, b"\x02"), 0, seen, list(prefix))
+        for owner, at in (("connection 2", changes_at), ("path 1", env_at)):
+            with pytest.raises(FormatError, match=f"{owner}: negative fact count -2"):
+                decode_path(patched(at, i32.pack(-2)), 0, seen, list(prefix))
+
 
 def write_records(directory, records) -> list[int]:
     """Store ``records`` as a one-worker merged run; returns their positions."""
@@ -235,19 +321,26 @@ class TestStoreReads:
     def test_intern_table_stops_at_its_limit(self, tmp_path):
         rng = random.Random(17)
         records = [random_record(rng) for _ in range(1000)]
-        distinct = {
+        entities = {
             encode_entity(e)
             for r in records for c in r.connections for e in (c.entity1, c.link, c.entity2)
             if e is not None
         }
-        assert len(distinct) > pathstore._INTERN_LIMIT
+        lists = {fact_list_bytes(f) for r in records for f in fact_lists(r)}
+        assert len(entities) > pathstore._INTERN_LIMIT and len(lists) > 1000
         positions = write_records(tmp_path, records)
         # The file spans several read blocks, so records straddle them.
         assert positions[-1] > 2 * pathstore._READ_BLOCK
         store = MergedStore(tmp_path)
         assert list(store.iter_paths()) == records
         assert len(store._entities) == pathstore._INTERN_LIMIT
+        # Both kinds count against the one cap: entities are 8 + 5n bytes,
+        # fact lists 4 + 5m.
+        kinds = Counter(len(key) % FACT_RECORD_SIZE for key in store._entities)
+        assert kinds.keys() == {3, 4} and min(kinds.values()) > 500
+        assert set(store._entities) <= entities | lists
         assert [store.read_path_at(pos) for pos in positions] == records
+        assert list(store.iter_paths()) == records
         assert len(store._entities) == pathstore._INTERN_LIMIT
 
     def test_record_longer_than_a_read_block(self, tmp_path):
@@ -397,17 +490,71 @@ class TestSharedConnections:
             assert opened.count(FINAL_PATHS_TITLE) == 1
 
     def test_stores_share_no_connection_records(self, tmp_path):
-        layered_run(tmp_path / "a")
-        shutil.copytree(tmp_path / "a", tmp_path / "b")
-        first, second = MergedStore(tmp_path / "a"), MergedStore(tmp_path / "b")
-        positions = first.sorted_positions(SortKey.ID)
-        read = [(first.read_path_at(p), second.read_path_at(p)) for p in positions]
-        read += list(zip(first.iter_paths(), second.iter_paths()))
+        # Layered paths carry no environment facts; rule-heavy ones do.
+        for run in (layered_run, rule_heavy_run):
+            base = tmp_path / run.__name__
+            run(base / "a")
+            shutil.copytree(base / "a", base / "b")
+            first, second = MergedStore(base / "a"), MergedStore(base / "b")
+            positions = first.sorted_positions(SortKey.ID)
+            read = [(first.read_path_at(p), second.read_path_at(p)) for p in positions]
+            read += list(zip(first.iter_paths(), second.iter_paths()))
+            for key in SortKey:
+                answers = zip(first.query_sorted(key, 5), second.query_sorted(key, 5))
+                read += [(a, b) for (_, a), (_, b) in answers]
+            for a, b in read:
+                assert a == b
+                assert not any(x is y for x in a.connections for y in b.connections)
+                assert not any(x is y for x in fact_lists(a) for y in fact_lists(b))
+            assert any(fact_lists(a) for a, _ in read) == (run is rule_heavy_run)
+
+
+class TestSharedFactLists:
+    @staticmethod
+    def assert_equal_lists_are_one_object(records):
+        lists = [f for r in records for f in fact_lists(r)]
+        objects: dict[tuple, set[int]] = {}
+        for f in lists:
+            objects.setdefault(f, set()).add(id(f))
+        assert len(objects) < len(lists)
+        assert all(len(ids) == 1 for ids in objects.values())
+
+    def test_equal_lists_are_one_object_in_a_pass(self, tmp_path):
+        store, _ = rule_heavy_run(tmp_path)
+        records = list(store.iter_paths())
+        # Every path ends in one environment, and connections of different
+        # records carry equal changes.
+        assert len({id(r.env_facts) for r in records}) == 1 < len(records)
+        assert len({id(c) for r in records for c in r.connections}) > 1
+        self.assert_equal_lists_are_one_object(records)
+
+    def test_equal_lists_are_one_object_in_a_query_answer(self, tmp_path):
+        rule_heavy_run(tmp_path)
         for key in SortKey:
-            read += [(a, b) for (_, a), (_, b) in zip(first.query_sorted(key, 5), second.query_sorted(key, 5))]
-        for a, b in read:
-            assert a == b
-            assert not any(x is y for x in a.connections for y in b.connections)
+            store = MergedStore(tmp_path)
+            answer = store.query_sorted(key, store.count)
+            self.assert_equal_lists_are_one_object([r for _, r in answer])
+            assert [r for _, r in answer] == [store.read_path_at(pos) for pos, _ in answer]
+
+    def test_environment_cut_by_a_read_block(self, tmp_path):
+        envs = [tuple((f, (f + k) % 3 == 0) for f in range(40)) for k in range(3)]
+        changes = [((100, True), (101, k == 0)) for k in range(2)]
+        records = [
+            PathRecord(i, (ConnectionRecord(i, None, None, None, changes[i % 2]),), envs[i % 3])
+            for i in range(400)
+        ]
+        positions = write_records(tmp_path, records)
+        data = merged_file(tmp_path, FINAL_PATHS_TITLE).read_bytes()
+        ends = positions[1:] + [len(data)]
+        # The first block boundary falls inside a record's environment, after
+        # its count, and an equal environment was read before it.
+        n = next(i for i, end in enumerate(ends) if end > pathstore._READ_BLOCK)
+        env_at = ends[n] - len(fact_list_bytes(records[n].env_facts))
+        assert env_at + 4 < pathstore._READ_BLOCK and n >= 3
+        store = MergedStore(tmp_path)
+        assert list(store.iter_paths()) == [decode_path(data, p, {}, [])[0] for p in positions] == records
+        assert set(store._entities) == {fact_list_bytes(f) for f in envs + changes}
+        self.assert_equal_lists_are_one_object(store.iter_paths())
 
 
 class TestSortFiles:
