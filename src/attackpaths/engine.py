@@ -40,7 +40,7 @@ from typing import Optional
 
 from . import pathstore
 from .model import Network
-from .pathstore import MergedStore, PathWriter, compute_metrics
+from .pathstore import MergedStore, MetricColumns, PathWriter, compute_metrics
 from .traversal import (
     ActionExecutor,
     ActionMode,
@@ -196,10 +196,10 @@ def _search_to_files(
     Returns its summary; its ``sort_merge_seconds`` run from the search's end
     to this worker's finish."""
     writer = PathWriter(out_dir, scheduler.worker)
-    metrics: list[tuple] = []
+    columns = MetricColumns()
 
     def sink(path):
-        metrics.append((compute_metrics(path, net), writer.append(path)))
+        columns.append(compute_metrics(path, net), writer.append(path))
 
     try:
         summary = search_loop(
@@ -207,7 +207,7 @@ def _search_to_files(
         )
     finally:
         writer.close()
-    pathstore.write_all_sort_files(out_dir, scheduler.worker, metrics)
+    pathstore.write_all_sort_files(out_dir, scheduler.worker, columns)
     summary.sort_merge_seconds = time.perf_counter() - scheduler.started - summary.elapsed_seconds
     return summary
 

@@ -27,13 +27,15 @@ and shares its ``ConnectionRecord``s, matched by their bytes.
 Each worker ``w`` owns ``Final paths-{w}.tmp`` plus ``Index-{w}.tmp`` (one
 int64 write position per path, path ``n`` at byte ``n * 8``) and one sort
 file per sort key holding ``(value, int64 position)`` records in descending
-value order, ties broken by ascending position.  Merging moves the first
+value order, ties broken by ascending position, written from the typed
+columns its sink fills (``MetricColumns``).  Merging moves the first
 worker's final-path and index files into place, appends the others' records
 and offset-shifted index entries in worker order and deletes their files, so
 each path is stored once.  Each merged sort file is built lazily: the
 per-worker streams are k-way merged on highest value and only the
 offset-adjusted int64 position is written.  Every merged file is written to
 ``<title>.partial``, which is renamed onto ``<title>`` only once complete.
+``metric_values`` joins a key's worker sort files with ``Index``.
 
 ``RUN_TITLES`` names every file of a run, which ``clear_run`` deletes when a
 run starts or fails.  ``summary`` is written last, so a directory holds a
@@ -48,6 +50,9 @@ import os
 import shutil
 import struct
 import time
+from array import array
+from bisect import bisect_left
+from collections.abc import Mapping
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
@@ -92,7 +97,7 @@ class _Truncated(FormatError):
 
 class SortKey(Enum):
     """A per-path metric; ``record`` is its worker sort-file row,
-    ``(value, int64 position)``."""
+    ``(value, int64 position)``, and ``typecode`` its ``array`` column's."""
 
     ID = ("ID", "<iq")
     AVAILABILITY = ("Availability", "<dq")
@@ -104,6 +109,7 @@ class SortKey(Enum):
     def __init__(self, title: str, layout: str):
         self.title = title
         self.record = struct.Struct(layout)
+        self.typecode = "q" if layout[1] == "i" else "d"
 
 
 INT_SORT_RECORD_SIZE = SortKey.ID.record.size
@@ -178,6 +184,22 @@ def compute_metrics(path: TraversalPath, net: Network) -> MetricVector:
         total_run_time=(finished - path.started_at) * 1000.0,
         traversability_chance=chance,
     )
+
+
+class MetricColumns:
+    """One worker's metrics in typed ``array`` columns, one row per path in
+    append order: its byte position and its value of each key."""
+
+    _fields = attrgetter(*(key.name.lower() for key in SortKey))
+
+    def __init__(self):
+        self.positions = array("q")
+        self.values = {key: array(key.typecode) for key in SortKey}
+
+    def append(self, metrics: MetricVector, pos: int) -> None:
+        self.positions.append(pos)
+        for column, value in zip(self.values.values(), self._fields(metrics)):
+            column.append(value)
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +451,15 @@ def _read_paths(finals: Path, index: Path, seen: dict) -> Iterator[PathRecord]:
             raise FormatError(f"{finals.name}: data after the last of {count} indexed records")
 
 
-def write_sort_file(directory, worker: int, key: SortKey, rows: list[tuple[object, int]]) -> Path:
-    """Write one worker's sort file: (value, position) rows ordered by value
-    descending, ties by position ascending (``reverse=True`` keeps a sort stable)."""
-    ordered = sorted(rows, key=itemgetter(1))
-    ordered.sort(key=itemgetter(0), reverse=True)
-    target = worker_file(directory, key.title, worker)
-    with open(target, "wb") as fh:
-        fh.writelines(starmap(key.record.pack, ordered))
-    return target
-
-
-def write_all_sort_files(directory, worker: int, metrics: list[tuple[MetricVector, int]]) -> None:
-    for key in SortKey:
-        value = attrgetter(key.name.lower())
-        write_sort_file(directory, worker, key, [(value(m), pos) for m, pos in metrics])
+def write_all_sort_files(directory, worker: int, columns: MetricColumns) -> None:
+    """Write one worker's sort file per key, rows by value descending and ties
+    by position ascending: positions are appended in ascending order, so one
+    stable sort on value (``reverse=True`` keeps it stable) orders them."""
+    for key, column in columns.values.items():
+        order = sorted(range(len(column)), key=column.__getitem__, reverse=True)
+        with open(worker_file(directory, key.title, worker), "wb") as fh:
+            fh.writelines(map(key.record.pack, map(column.__getitem__, order),
+                              map(columns.positions.__getitem__, order)))
 
 
 def read_sort_file(path: Path, key: SortKey) -> list[tuple[object, int]]:
@@ -548,6 +564,26 @@ def merge_sort_files(directory, key: SortKey) -> None:
 # ---------------------------------------------------------------------------
 # Merged-store access
 
+class MetricValues(Mapping):
+    """A read-only position -> value mapping in stored order, backed by an
+    ascending int64 position array and the value array aligned with it."""
+
+    def __init__(self, positions: array, values: array):
+        self._positions, self._values = positions, values
+
+    def __getitem__(self, pos: int):
+        i = bisect_left(self._positions, pos)
+        if i == len(self._positions) or self._positions[i] != pos:
+            raise KeyError(pos)
+        return self._values[i]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._positions)
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+
 class MergedStore:
     """Read access to a merged run directory."""
 
@@ -605,14 +641,26 @@ class MergedStore:
         with _k_way_merge(self.directory, key) as merged:
             return [-negated for negated, _ in islice(merged, k)]
 
-    def metric_values(self, key: SortKey) -> dict[int, object]:
-        """Adjusted position -> sort value, joined from the worker sort files."""
+    def metric_values(self, key: SortKey) -> MetricValues:
+        """Merged position -> value of ``key`` per stored path, joined from the
+        worker sort files, in about 16 B/path.  FormatError names a worker
+        sort file whose rows are not its worker's ``Index`` entries, once each."""
+        data = self._index.read_bytes()
+        n = _record_count(len(data), _I64, self._index.name)
+        positions, values = array("q", struct.unpack(f"<{n}q", data)), array(key.typecode)
         workers, offsets = read_offsets(self.directory)
-        out: dict[int, object] = {}
-        for w, off in zip(workers, offsets):
-            for value, pos in read_sort_file(worker_file(self.directory, key.title, w), key):
-                out[pos + off] = value
-        return out
+        starts = [bisect_left(positions, off) for off in offsets] + [n]
+        for w, off, start, end in zip(workers, offsets, starts, starts[1:]):
+            src = worker_file(self.directory, key.title, w)
+            rows = sorted(read_sort_file(src, key), key=itemgetter(1))
+            joined, indexed = [pos + off for _, pos in rows], positions[start:end].tolist()
+            if len(joined) != len(indexed):
+                raise FormatError(f"{src.name}: {len(joined)} rows for {len(indexed)} paths")
+            if joined != indexed:
+                p, q = next(pair for pair in zip(joined, indexed) if pair[0] != pair[1])
+                raise FormatError(f"{src.name}: row position {p} where the Index holds {q}")
+            values.fromlist([value for value, _ in rows])
+        return MetricValues(positions, values)
 
 
 def write_run_summary(directory, summary: RunSummary) -> None:

@@ -25,6 +25,7 @@ from attackpaths.pathstore import (
     INT_SORT_RECORD_SIZE,
     NULL_MARKER_SIZE,
     MergedStore,
+    MetricColumns,
     MetricVector,
     PathWriter,
     SortKey,
@@ -197,11 +198,11 @@ def test_criterion_5_merge_and_sort_order(tmp_path):
                 next_id += 1
             worker_rows.append(rows)
             writer = PathWriter(tmp_path, w)
-            metrics = []
+            columns = MetricColumns()
             for r, mv in rows:
-                metrics.append((mv, writer.append_record(r)))
+                columns.append(mv, writer.append_record(r))
             writer.close()
-            write_all_sort_files(tmp_path, w, metrics)
+            write_all_sort_files(tmp_path, w, columns)
         offsets = merge_final_and_index(tmp_path, [0, 1, 2, 3])
 
         store = MergedStore(tmp_path)

@@ -8,6 +8,7 @@ import sys
 import textwrap
 import threading
 import time
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -341,6 +342,22 @@ class TestMultiWorker:
         assert seq == sorted(seq, reverse=True)
         text = pathstore.merged_file(tmp_path, pathstore.SUMMARY_TITLE).read_text()
         assert json.loads(text) == json.loads(json.dumps(summary.to_dict()))
+
+    def test_sink_keeps_metrics_in_typed_columns(self, tmp_path, monkeypatch):
+        captured = []
+        write = pathstore.write_all_sort_files
+
+        def capture(directory, worker, columns):
+            captured.append(columns)
+            write(directory, worker, columns)
+
+        monkeypatch.setattr(pathstore, "write_all_sort_files", capture)
+        store, _ = layered_run(tmp_path)
+        (columns,) = captured
+        assert vars(columns).keys() == {"positions", "values"}
+        held = [columns.positions, *columns.values.values()]
+        assert all(type(c) is array and len(c) == store.count == 27 for c in held)
+        assert list(columns.positions) == list(store.metric_values(pathstore.SortKey.ID))
 
 
 def readme_output_files(workers: int) -> set[str]:

@@ -5,8 +5,11 @@ import random
 import shutil
 import struct
 import sys
+import tracemalloc
+from array import array
 from collections import Counter
 from dataclasses import fields, replace
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,7 @@ from attackpaths.pathstore import (
     EntityRecord,
     FormatError,
     MergedStore,
+    MetricColumns,
     MetricVector,
     PathRecord,
     PathWriter,
@@ -60,7 +64,6 @@ from attackpaths.pathstore import (
     worker_file,
     write_all_sort_files,
     write_run_summary,
-    write_sort_file,
 )
 from attackpaths.traversal import (
     RunSummary,
@@ -557,18 +560,40 @@ class TestSharedFactLists:
         self.assert_equal_lists_are_one_object(store.iter_paths())
 
 
+def metric_columns(rows) -> MetricColumns:
+    """The sink's columns for ``(MetricVector, position)`` rows, in that order."""
+    columns = MetricColumns()
+    for mv, pos in rows:
+        columns.append(mv, pos)
+    return columns
+
+
+def two_sort_bytes(key: SortKey, rows) -> bytes:
+    """A worker sort file of ``(value, position)`` rows as two stable sorts
+    order it: by position, then by value descending."""
+    ordered = sorted(rows, key=itemgetter(1))
+    ordered.sort(key=itemgetter(0), reverse=True)
+    return b"".join(key.record.pack(*row) for row in ordered)
+
+
 class TestSortFiles:
     def test_double_key_ordering(self, tmp_path):
-        rows = [(1.0, 100), (2.0, 50), (1.0, 20)]
-        target = write_sort_file(tmp_path, 0, SortKey.AVAILABILITY, rows)
+        rows = [(20, 1.0), (50, 2.0), (100, 1.0)]
+        write_all_sort_files(tmp_path, 0, metric_columns(
+            (MetricVector(0, value, 0.0, 0.0, 0.0, 1.0), pos) for pos, value in rows
+        ))
+        target = worker_file(tmp_path, SortKey.AVAILABILITY.title, 0)
         assert target.stat().st_size == 3 * DOUBLE_SORT_RECORD_SIZE
         assert read_sort_file(target, SortKey.AVAILABILITY) == [
             (2.0, 50), (1.0, 20), (1.0, 100),
         ]
 
     def test_int_key_ordering(self, tmp_path):
-        rows = [(5, 8), (7, 0), (5, 3)]
-        target = write_sort_file(tmp_path, 1, SortKey.ID, rows)
+        rows = [(0, 7), (3, 5), (8, 5)]
+        write_all_sort_files(tmp_path, 1, metric_columns(
+            (MetricVector(ident, 0.0, 0.0, 0.0, 0.0, 1.0), pos) for pos, ident in rows
+        ))
+        target = worker_file(tmp_path, SortKey.ID.title, 1)
         assert target.stat().st_size == 3 * INT_SORT_RECORD_SIZE
         assert read_sort_file(target, SortKey.ID) == [(7, 0), (5, 3), (5, 8)]
 
@@ -578,18 +603,51 @@ class TestSortFiles:
         with pytest.raises(FormatError, match="Availability-0.tmp: truncated record"):
             read_sort_file(bad, SortKey.AVAILABILITY)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_column_sort_matches_two_stable_sorts(self, tmp_path, workers, tied):
+        worker_rows, _ = random_run(tmp_path, workers=workers, per_worker=60, seed=workers, tied=tied)
+        for w, rows in enumerate(worker_rows):
+            positions = worker_positions(rows)
+            for key in SortKey:
+                value = attrgetter(key.name.lower())
+                expected = two_sort_bytes(key, [(value(mv), pos) for (_, mv), pos in zip(rows, positions)])
+                assert worker_file(tmp_path, key.title, w).read_bytes() == expected, (w, key)
+
+    def test_columns_hold_no_per_path_object(self):
+        n = 20_000
+        # Like the sink, each row's vector is made, appended and dropped.
+        rows = (
+            (MetricVector(i, i / n, i / 3, i / 5, i / 7, 1 - i / n), 400 * i) for i in range(n)
+        )
+        tracemalloc.start()
+        try:
+            columns = metric_columns(rows)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(c, array) for c in (columns.positions, *columns.values.values()))
+        # Seven 8-byte columns; one object per path would add at least 24 bytes.
+        assert held / n < 64
+
+
+def worker_positions(rows) -> list[int]:
+    """The byte position at which a worker writes each of ``rows``' records."""
+    positions, pos = [], 0
+    for record, _ in rows:
+        positions.append(pos)
+        pos += len(encode_path(record))
+    return positions
+
 
 def write_workers(tmp_path, worker_rows):
     """Write each worker's final-path, index and sort files, unmerged.
     worker_rows: list (per worker) of (record, MetricVector) pairs."""
     for w, rows in enumerate(worker_rows):
         writer = PathWriter(tmp_path, w)
-        metrics = []
-        for record, mv in rows:
-            pos = writer.append_record(record)
-            metrics.append((mv, pos))
+        columns = metric_columns((mv, writer.append_record(record)) for record, mv in rows)
         writer.close()
-        write_all_sort_files(tmp_path, w, metrics)
+        write_all_sort_files(tmp_path, w, columns)
 
 
 def build_run(tmp_path, worker_rows):
@@ -709,6 +767,70 @@ class TestMerge:
                 assert values[pos + offsets[w]] == pytest.approx(mv.integrity)
                 pos += len(encode_path(record))
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_metric_values_match_a_dict_join(self, tmp_path, workers):
+        random_run(tmp_path, workers=workers, per_worker=40, seed=workers + 7)
+        store = MergedStore(tmp_path)
+        for key in SortKey:
+            joined = {}
+            for w, off in zip(*read_offsets(tmp_path)):
+                for value, pos in read_sort_file(worker_file(tmp_path, key.title, w), key):
+                    joined[pos + off] = value
+            assert dict(store.metric_values(key)) == joined, key
+
+    def test_metric_values_is_a_read_only_mapping_in_stored_order(self, tmp_path):
+        random_run(tmp_path, workers=3, per_worker=30, seed=8)
+        store = MergedStore(tmp_path)
+        values = store.metric_values(SortKey.AVAILABILITY)
+        index = [pos for (pos,) in i64.iter_unpack(merged_file(tmp_path, INDEX_TITLE).read_bytes())]
+        assert len(values) == store.count == len(index) > 0
+        assert list(values) == index
+        assert all(pos in values for pos in index)
+        unknown = index[-1] + 1
+        assert unknown not in values and -1 not in values
+        assert values.get(unknown) is None
+        with pytest.raises(KeyError):
+            values[unknown]
+        with pytest.raises(TypeError):
+            values[index[0]] = 0.5
+        assert list(values.values()) == [values[pos] for pos in index]
+
+    def test_metric_values_keep_16_bytes_a_path(self, tmp_path):
+        random_run(tmp_path, workers=3, per_worker=2000, seed=2)
+        store = MergedStore(tmp_path)
+        assert store.count > 2000
+        for key in (SortKey.ID, SortKey.TRAVERSABILITY_CHANCE):
+            tracemalloc.start()
+            try:
+                values = store.metric_values(key)
+                n, held = len(values), tracemalloc.get_traced_memory()[0]
+                del values
+                held -= tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            # What the mapping frees is what it keeps; a dict of the same
+            # content keeps about 108 B/path.
+            assert held / n <= 24, key
+
+    def rewrite_rows(self, tmp_path, key, worker, edit):
+        """Replace worker ``worker``'s sort file of ``key`` by ``edit`` of its rows."""
+        target = worker_file(tmp_path, key.title, worker)
+        rows = edit(read_sort_file(target, key))
+        target.write_bytes(b"".join(key.record.pack(*row) for row in rows))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [(rows[0][0], rows[0][1] + 1)] + rows[1:], r"row position \d+ where"),
+        (lambda rows: rows[:-1], r"(\d+) rows for (?!\1)\d+ paths"),
+        (lambda rows: rows + [rows[-1]], r"(\d+) rows for (?!\1)\d+ paths"),
+        (lambda rows: rows[:-1] + [rows[0]], r"row position \d+ where"),
+    ], ids=["shifted", "dropped", "extra", "repeated"])
+    def test_metric_values_reject_rows_that_miss_the_index(self, tmp_path, edit, message):
+        random_run(tmp_path, workers=3, per_worker=30, seed=8)
+        for key in (SortKey.ID, SortKey.INTEGRITY):
+            self.rewrite_rows(tmp_path, key, 1, edit)
+            with pytest.raises(FormatError, match=f"{key.title}-1.tmp: {message}"):
+                MergedStore(tmp_path).metric_values(key)
+
     @pytest.mark.parametrize("key", list(SortKey))
     def test_top_values_are_the_values_of_the_top_positions(self, tmp_path, key):
         for run_dir, tied in ((tmp_path / "random", False), (tmp_path / "tied", True)):
@@ -794,12 +916,11 @@ class TestMerge:
         rng = random.Random(5)
         records = [random_record(rng) for _ in range(10)]
         w = PathWriter(tmp_path, 0)
-        metrics = []
-        for i, r in enumerate(records):
-            pos = w.append_record(r)
-            metrics.append((MetricVector(i, 0, 0, 0, 0, 1.0), pos))
+        columns = metric_columns(
+            (MetricVector(i, 0, 0, 0, 0, 1.0), w.append_record(r)) for i, r in enumerate(records)
+        )
         w.close()
-        write_all_sort_files(tmp_path, 0, metrics)
+        write_all_sort_files(tmp_path, 0, columns)
         written = {
             title: worker_file(tmp_path, title, 0).read_bytes()
             for title in (FINAL_PATHS_TITLE, INDEX_TITLE)
@@ -942,7 +1063,7 @@ class TestMetrics:
             check_search(net, TraversalConfig(start=1, end=3))
 
     def test_every_sort_key_names_a_metric_field(self):
-        # write_all_sort_files reads each key's column by this name.
+        # MetricColumns.append reads each key's value by this name.
         names = sorted(f.name for f in fields(MetricVector))
         assert sorted(key.name.lower() for key in SortKey) == names
         mv = MetricVector(3, 0.1, 0.2, 0.3, 4.0, 0.5)
