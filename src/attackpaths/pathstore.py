@@ -9,7 +9,9 @@ into named tuples; each ``MergedStore`` interns entity records and environment
 fact lists by their bytes (``_INTERN_LIMIT`` in all), so its records may share them.
 The search is depth-first, so consecutive records often begin with the same
 connections, byte for byte; one pass or one query decodes each such run once
-and shares its ``ConnectionRecord``s, matched by their bytes.
+and shares its ``ConnectionRecord``s, matched by their bytes.  A store keeps
+what ``read_path_at`` decoded by position (``_HELD_LIMIT`` record bytes in
+all) and returns it again while the bytes there still begin with its bytes.
 
 * fact (``_FACT``): int32 fact ID, one value byte (0 or 1) -- 5 bytes
 * index or merged sort-file entry (``_I64``): int64 byte position
@@ -73,6 +75,10 @@ _BOOLS = (False, True)
 _BLOCK_RECORDS = 8192
 # Bytes of ``Final paths`` read at a time; a longer record is read whole.
 _READ_BLOCK = 1 << 16
+# Bytes ``read_path_at`` reads first; ``_decode_at`` reads on for a longer record.
+_FIRST_READ = 1 << 12
+# Record bytes a store keeps by position for ``read_path_at``; never evicted.
+_HELD_LIMIT = 1 << 20
 # Entity records and fact lists a store shares by their bytes; never evicted.
 _INTERN_LIMIT = 4096
 _new = tuple.__new__  # builds a record without the named tuple's Python-level __new__
@@ -585,7 +591,8 @@ class MetricValues(Mapping):
 
 
 class MergedStore:
-    """Read access to a merged run directory."""
+    """Read access to a merged run directory.  Its tables of decoded values are
+    its own and checked against their bytes, so it may outlive a rewrite."""
 
     def __init__(self, directory):
         self.directory = Path(directory)
@@ -594,6 +601,9 @@ class MergedStore:
         self._sorted = {key: merged_file(self.directory, key.title) for key in SortKey}
         # Entity or fact-list bytes -> value, shared by every path read (``decode_path``).
         self._entities: dict[bytes, tuple] = {}
+        # Position -> (record bytes, record) per path ``read_path_at`` decoded.
+        self._held: dict[int, tuple[bytes, PathRecord]] = {}
+        self._held_bytes = 0
 
     @property
     def count(self) -> int:
@@ -602,14 +612,26 @@ class MergedStore:
     def read_path_at(
         self, pos: int, *, fh: Optional[BinaryIO] = None, prefix: Optional[list] = None
     ) -> PathRecord:
-        """The path at byte ``pos``; ``query_sorted`` passes its open file and one ``prefix``."""
+        """The path at byte ``pos``; ``query_sorted`` passes its open file and one ``prefix``.
+        A record read there before, while it fits under ``_HELD_LIMIT``, is
+        returned again if the bytes there still begin with its bytes: records
+        are self-delimiting, so those bytes decode to an equal one."""
         prefix = [] if prefix is None else prefix
+        extent, record = self._held.pop(pos, (b"", None))
+        self._held_bytes -= len(extent)
         with open(self._finals, "rb", buffering=0) if fh is None else nullcontext(fh) as fh:
             fh.seek(pos)
-            try:
-                return _decode_at(fh, fh.read(_READ_BLOCK), 0, self._entities, prefix)[0]
-            except FormatError as e:
-                raise FormatError(f"{FINAL_PATHS_TITLE}, path at byte {pos}: {e}") from None
+            buf = fh.read(max(_FIRST_READ, len(extent)))
+            if record is None or not buf.startswith(extent):
+                try:
+                    record, buf, end = _decode_at(fh, buf, 0, self._entities, prefix)
+                except FormatError as e:
+                    raise FormatError(f"{FINAL_PATHS_TITLE}, path at byte {pos}: {e}") from None
+                extent = buf[:end]
+        if self._held_bytes + len(extent) <= _HELD_LIMIT:
+            self._held[pos] = extent, record
+            self._held_bytes += len(extent)
+        return record
 
     def iter_paths(self) -> Iterator[PathRecord]:
         return _read_paths(self._finals, self._index, self._entities)
@@ -630,10 +652,17 @@ class MergedStore:
 
     def query_sorted(self, key: SortKey, k: int) -> list[tuple[int, PathRecord]]:
         """Top-k paths by the key, best first, as (position, record) pairs.
-        Ties go by position, so answers often share leading connections."""
-        positions, prefix = self.sorted_positions(key, k), []
+        Ties go by position, so answers often share leading connections.  A
+        read error names the merged sort file and its row: the lazy merge does
+        not check positions against ``Index``, which would cost every first query."""
+        positions, prefix, answer = self.sorted_positions(key, k), [], []
         with open(self._finals, "rb", buffering=0) as fh:
-            return [(pos, self.read_path_at(pos, fh=fh, prefix=prefix)) for pos in positions]
+            for row, pos in enumerate(positions):
+                try:
+                    answer.append((pos, self.read_path_at(pos, fh=fh, prefix=prefix)))
+                except FormatError as e:
+                    raise FormatError(f"{key.title} row {row}: {e}") from None
+        return answer
 
     def top_values(self, key: SortKey, k: int) -> list:
         """The values of ``sorted_positions(key, k)``, in that order: the

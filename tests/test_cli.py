@@ -2,6 +2,7 @@ import errno
 import json
 import multiprocessing
 import os
+import re
 
 import pytest
 
@@ -255,7 +256,7 @@ class TestQuery:
         err = capsys.readouterr().err.splitlines()
         assert rc == 1
         assert len(err) == 1
-        assert err[0].startswith("error: Final paths, path at byte ")
+        assert re.fullmatch(r"error: ID row \d+: Final paths, path at byte \d+: truncated record", err[0])
 
     def test_missing_sort_file_is_reported(self, tmp_path, capsys):
         layered_run(tmp_path, workers=2)

@@ -320,6 +320,17 @@ def write_records(directory, records) -> list[int]:
     return positions
 
 
+def write_ranked_records(directory, records) -> list[int]:
+    """``write_records`` plus a worker sort file per key that ranks the
+    records in stored order, best first."""
+    positions = write_records(directory, records)
+    columns = MetricColumns()
+    for n, pos in enumerate(positions):
+        columns.append(MetricVector(-n, *5 * [float(-n)]), pos)
+    write_all_sort_files(directory, 0, columns)
+    return positions
+
+
 class TestStoreReads:
     def test_intern_table_stops_at_its_limit(self, tmp_path):
         rng = random.Random(17)
@@ -349,12 +360,18 @@ class TestStoreReads:
     def test_record_longer_than_a_read_block(self, tmp_path):
         facts = tuple((i, i % 3 == 0) for i in range(20000))
         big = PathRecord(5, (ConnectionRecord(6, EntityRecord(7, facts), None, None, ((1, True),)),))
+        mid = PathRecord(8, (ConnectionRecord(9, None, EntityRecord(7, facts[:2000]), None),))
         assert len(encode_path(big)) > pathstore._READ_BLOCK
-        records = [PathRecord(1), big, PathRecord(2, (), ((3, False),))]
-        positions = write_records(tmp_path, records)
+        assert pathstore._FIRST_READ < len(encode_path(mid)) < pathstore._READ_BLOCK
+        records = [PathRecord(1), big, mid, PathRecord(2, (), ((3, False),))]
+        positions = write_ranked_records(tmp_path, records)
         store = MergedStore(tmp_path)
         assert list(store.iter_paths()) == records
-        assert [store.read_path_at(pos) for pos in positions] == records
+        # Cold, then from the position table.
+        for _ in range(2):
+            assert [store.read_path_at(pos) for pos in positions] == records
+            assert [r for _, r in MergedStore(tmp_path).query_sorted(SortKey.ID, 4)] == records
+            assert [r for _, r in store.query_sorted(SortKey.ID, 4)] == records
 
     def test_iter_paths_and_read_path_at_agree(self, tmp_path):
         layered_run(tmp_path, workers=3)
@@ -500,13 +517,15 @@ class TestSharedConnections:
             shutil.copytree(base / "a", base / "b")
             first, second = MergedStore(base / "a"), MergedStore(base / "b")
             positions = first.sorted_positions(SortKey.ID)
-            read = [(first.read_path_at(p), second.read_path_at(p)) for p in positions]
-            read += list(zip(first.iter_paths(), second.iter_paths()))
-            for key in SortKey:
-                answers = zip(first.query_sorted(key, 5), second.query_sorted(key, 5))
-                read += [(a, b) for (_, a), (_, b) in answers]
+            read = list(zip(first.iter_paths(), second.iter_paths()))
+            # Cold reads, then warm ones answered from each store's position table.
+            for _ in range(2):
+                read += [(first.read_path_at(p), second.read_path_at(p)) for p in positions]
+                for key in SortKey:
+                    answers = zip(first.query_sorted(key, 5), second.query_sorted(key, 5))
+                    read += [(a, b) for (_, a), (_, b) in answers]
             for a, b in read:
-                assert a == b
+                assert a == b and a is not b
                 assert not any(x is y for x in a.connections for y in b.connections)
                 assert not any(x is y for x in fact_lists(a) for y in fact_lists(b))
             assert any(fact_lists(a) for a, _ in read) == (run is rule_heavy_run)
@@ -558,6 +577,100 @@ class TestSharedFactLists:
         assert list(store.iter_paths()) == [decode_path(data, p, {}, [])[0] for p in positions] == records
         assert set(store._entities) == {fact_list_bytes(f) for f in envs + changes}
         self.assert_equal_lists_are_one_object(store.iter_paths())
+
+
+class TestHeldRecords:
+    """Each store keeps the records ``read_path_at`` decoded by position and
+    returns one again only while its bytes are still at that position."""
+
+    @staticmethod
+    def answers(store) -> dict:
+        return {key: store.query_sorted(key, store.count) for key in SortKey}
+
+    def test_warm_reads_return_the_held_records(self, tmp_path, monkeypatch):
+        layered_run(tmp_path, workers=3)
+        store = MergedStore(tmp_path)
+        decoded = []
+
+        def counting_decode(buf, pos, *args):
+            decoded.append(pos)
+            return decode_path(buf, pos, *args)
+
+        monkeypatch.setattr(pathstore, "decode_path", counting_decode)
+        assert len(list(store.iter_paths())) == len(decoded) == 27
+        decoded.clear()
+        # A pass keeps no record by position, so each answer is decoded once.
+        answers = {key: store.query_sorted(key, 10) for key in SortKey}
+        assert len(decoded) == len({pos for answer in answers.values() for pos, _ in answer})
+        decoded.clear()
+        for key, answer in answers.items():
+            again = store.query_sorted(key, 10)
+            assert again == answer
+            assert all(a is b for (_, a), (_, b) in zip(again, answer, strict=True))
+            assert all(store.read_path_at(pos) is record for pos, record in answer)
+        assert decoded == []
+
+    @pytest.mark.parametrize("change", ["rerun", "edit", "longer", "shorter"])
+    def test_a_live_store_follows_its_directory(self, tmp_path, change):
+        layered_run(tmp_path)
+        store = MergedStore(tmp_path)
+        self.answers(store)
+        finals = merged_file(tmp_path, FINAL_PATHS_TITLE)
+        data = finals.read_bytes()
+        if change == "rerun":
+            rule_heavy_run(tmp_path)
+            assert merged_file(tmp_path, FINAL_PATHS_TITLE).read_bytes()[:8] != data[:8]
+        elif change == "edit":
+            # The value byte of the first link fact of the record at byte 0.
+            first = store.read_path_at(0)
+            at = 8 + 4 + len(encode_entity(first.connections[0].entity1)) + 8
+            assert data[at:at + 5] == i32.pack(first.connections[0].link.facts[0][0]) + b"\x01"
+            finals.write_bytes(data[:at + 4] + b"\x00" + data[at + 5:])
+        else:
+            # The last record changes length, so no other position moves.
+            last = max(store.metric_values(SortKey.ID))
+            record = store.read_path_at(last)
+            record = (record._replace(env_facts=((99, True),)) if change == "longer"
+                      else record._replace(connections=record.connections[:-1]))
+            finals.write_bytes(data[:last] + encode_path(record))
+        fresh = self.answers(MergedStore(tmp_path))
+        assert self.answers(store) == fresh
+        assert [store.read_path_at(pos) for pos, _ in fresh[SortKey.ID]] == [
+            r for _, r in fresh[SortKey.ID]
+        ]
+        assert list(store.iter_paths()) == list(MergedStore(tmp_path).iter_paths())
+
+    def test_the_position_table_stops_at_its_byte_limit(self, tmp_path):
+        facts = tuple((i, i % 3 == 0) for i in range(10000))
+        records = [PathRecord(n, (ConnectionRecord(n, EntityRecord(7, facts), None, None),))
+                   for n in range(25)]
+        size = len(encode_path(records[0]))
+        assert size * len(records) > pathstore._HELD_LIMIT
+        positions = write_ranked_records(tmp_path, records)
+        store = MergedStore(tmp_path)
+        for _ in range(2):
+            assert [store.read_path_at(pos) for pos in positions] == records
+            assert [r for _, r in store.query_sorted(SortKey.ID, len(records))] == records
+            held = sum(len(extent) for extent, _ in store._held.values())
+            assert pathstore._HELD_LIMIT - size < held <= pathstore._HELD_LIMIT
+
+    @pytest.mark.parametrize("where", ["shifted", "past the end"])
+    def test_a_bad_merged_position_names_its_row(self, tmp_path, where):
+        random_run(tmp_path)
+        store = MergedStore(tmp_path)
+        key = SortKey.AVAILABILITY
+        good = store.query_sorted(key, 5)
+        target = merged_file(tmp_path, key.title)
+        rows = target.read_bytes()
+        (pos,) = i64.unpack_from(rows, 3 * 8)
+        bad = pos + 1 if where == "shifted" else merged_file(tmp_path, FINAL_PATHS_TITLE).stat().st_size
+        target.write_bytes(rows[:3 * 8] + i64.pack(bad) + rows[4 * 8:])
+        for reader in (store, MergedStore(tmp_path)):
+            with pytest.raises(FormatError, match=rf"^Availability row 3: Final paths, path at byte {bad}: "):
+                reader.query_sorted(key, 5)
+            assert bad not in reader._held
+        target.write_bytes(rows)
+        assert store.query_sorted(key, 5) == good
 
 
 def metric_columns(rows) -> MetricColumns:
