@@ -3,7 +3,8 @@
 All integers are little-endian two's complement; floats are IEEE 754 doubles.
 Each fixed-width record shape has one ``struct.Struct``, from which the size
 constants derive.  A file of such records is read a block at a time by
-``_records``; a partial trailing record raises ``FormatError`` naming the file.
+``_records``, a merged sort file's first k rows in one read; a partial
+trailing record raises ``FormatError`` naming the file.
 Path records are variable-width: ``decode_path`` decodes one from a buffer
 into named tuples; each ``MergedStore`` interns entity records and environment
 fact lists by their bytes (``_INTERN_LIMIT`` in all), so its records may share them.
@@ -11,7 +12,8 @@ The search is depth-first, so consecutive records often begin with the same
 connections, byte for byte; one pass or one query decodes each such run once
 and shares its ``ConnectionRecord``s, matched by their bytes.  A store keeps
 what ``read_path_at`` decoded by position (``_HELD_LIMIT`` record bytes in
-all) and returns it again while the bytes there still begin with its bytes.
+all) and returns it again while one positioned read of its length there
+returns its bytes.
 
 * fact (``_FACT``): int32 fact ID, one value byte (0 or 1) -- 5 bytes
 * index or merged sort-file entry (``_I64``): int64 byte position
@@ -614,20 +616,24 @@ class MergedStore:
     ) -> PathRecord:
         """The path at byte ``pos``; ``query_sorted`` passes its open file and one ``prefix``.
         A record read there before, while it fits under ``_HELD_LIMIT``, is
-        returned again if the bytes there still begin with its bytes: records
-        are self-delimiting, so those bytes decode to an equal one."""
+        returned again if one positioned read of its length there returns its
+        bytes: records are self-delimiting, so those bytes decode to an equal
+        one.  Otherwise its entry is dropped and the record decoded afresh."""
         prefix = [] if prefix is None else prefix
-        extent, record = self._held.pop(pos, (b"", None))
-        self._held_bytes -= len(extent)
+        extent, record = self._held.get(pos, (b"", None))
         with open(self._finals, "rb", buffering=0) if fh is None else nullcontext(fh) as fh:
+            if record is not None:
+                if os.pread(fh.fileno(), len(extent), pos) == extent:
+                    return record
+                del self._held[pos]
+                self._held_bytes -= len(extent)
             fh.seek(pos)
             buf = fh.read(max(_FIRST_READ, len(extent)))
-            if record is None or not buf.startswith(extent):
-                try:
-                    record, buf, end = _decode_at(fh, buf, 0, self._entities, prefix)
-                except FormatError as e:
-                    raise FormatError(f"{FINAL_PATHS_TITLE}, path at byte {pos}: {e}") from None
-                extent = buf[:end]
+            try:
+                record, buf, end = _decode_at(fh, buf, 0, self._entities, prefix)
+            except FormatError as e:
+                raise FormatError(f"{FINAL_PATHS_TITLE}, path at byte {pos}: {e}") from None
+            extent = buf[:end]
         if self._held_bytes + len(extent) <= _HELD_LIMIT:
             self._held[pos] = extent, record
             self._held_bytes += len(extent)
@@ -636,19 +642,23 @@ class MergedStore:
     def iter_paths(self) -> Iterator[PathRecord]:
         return _read_paths(self._finals, self._index, self._entities)
 
-    def ensure_sorted(self, key: SortKey) -> Path:
-        """Merged sort files are built on first use and reused afterwards;
-        one appears only once complete."""
-        target = self._sorted[key]
-        if not target.exists():
-            merge_sort_files(self.directory, key)
-        return target
-
     def sorted_positions(self, key: SortKey, k: Optional[int] = None) -> list[int]:
-        target = self.ensure_sorted(key)
-        block = _BLOCK_RECORDS if k is None else min(k, _BLOCK_RECORDS)
-        with open(target, "rb") as fh:
-            return [pos for (pos,) in islice(_records(fh, _I64, target.name, block), k)]
+        """The first ``k`` positions (all when ``None``) of the merged sort file,
+        built on first use, in one read; a k past ``_BLOCK_RECORDS`` reads the
+        file whole rather than allocate k rows' bytes up front."""
+        if k is not None and k < 0:
+            raise ValueError(f"k must be 0 or more, got {k}")
+        target = self._sorted[key]
+        try:
+            fh = open(target, "rb", buffering=0)
+        except FileNotFoundError:
+            merge_sort_files(self.directory, key)
+            fh = open(target, "rb", buffering=0)
+        with fh:
+            data = fh.read() if k is None or k > _BLOCK_RECORDS else fh.read(k * _I64.size)
+        data = data if k is None else data[: k * _I64.size]
+        n = _record_count(len(data), _I64, target.name)
+        return list(struct.unpack(f"<{n}q", data))
 
     def query_sorted(self, key: SortKey, k: int) -> list[tuple[int, PathRecord]]:
         """Top-k paths by the key, best first, as (position, record) pairs.

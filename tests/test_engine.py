@@ -392,7 +392,8 @@ class TestOutputFiles:
         lazy = {key.title for key in pathstore.SortKey}
         assert set(os.listdir(tmp_path)) == listed - lazy
         for key in pathstore.SortKey:
-            store.ensure_sorted(key)
+            store.sorted_positions(key, 0)
+            assert merged_file(tmp_path, key.title).exists()
         assert set(os.listdir(tmp_path)) == listed
 
 

@@ -672,6 +672,47 @@ class TestHeldRecords:
         target.write_bytes(rows)
         assert store.query_sorted(key, 5) == good
 
+    def test_a_warm_query_opens_two_files_and_checks_none(self, tmp_path, monkeypatch):
+        layered_run(tmp_path, workers=3)
+        store = MergedStore(tmp_path)
+        opened, checked = [], []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file).name)
+            return open(file, *args, **kwargs)
+
+        def counting_exists(path, *args, **kwargs):
+            checked.append(path.name)
+            return real_exists(path, *args, **kwargs)
+
+        real_exists = Path.exists
+        monkeypatch.setattr(pathstore, "open", counting_open, raising=False)
+        monkeypatch.setattr(Path, "exists", counting_exists)
+        for key in SortKey:
+            cold = store.query_sorted(key, 10)
+            opened.clear()
+            assert store.query_sorted(key, 10) == cold
+            assert opened == [key.title, FINAL_PATHS_TITLE]
+        assert checked == []
+
+    def test_a_cut_held_record_is_dropped_and_raises(self, tmp_path):
+        layered_run(tmp_path, workers=3)
+        store = MergedStore(tmp_path)
+        key = SortKey.ID
+        answer = store.query_sorted(key, 10)
+        row = max(range(len(answer)), key=lambda r: answer[r][0])
+        pos = answer[row][0]
+        extent, _ = store._held[pos]
+        finals = merged_file(tmp_path, FINAL_PATHS_TITLE)
+        with open(finals, "r+b") as fh:
+            fh.truncate(pos + len(extent) - 1)
+        with pytest.raises(FormatError, match=(
+            rf"^{key.title} row {row}: Final paths, path at byte {pos}: truncated record$"
+        )):
+            store.query_sorted(key, 10)
+        assert pos not in store._held
+        assert store._held_bytes == sum(len(e) for e, _ in store._held.values())
+
 
 def metric_columns(rows) -> MetricColumns:
     """The sink's columns for ``(MetricVector, position)`` rows, in that order."""
@@ -957,15 +998,58 @@ class TestMerge:
                 assert store.top_values(key, k) == expected, (tied, k)
                 assert len(expected) == min(k, n)
 
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_sorted_positions_are_a_prefix_of_the_merged_file(self, tmp_path, monkeypatch, block):
+        # With a block of 2, a k past it reads the file whole and keeps k rows.
+        if block:
+            monkeypatch.setattr(pathstore, "_BLOCK_RECORDS", block)
+        random_run(tmp_path, workers=2)
+        store = MergedStore(tmp_path)
+        n = store.count
+        for key in SortKey:
+            store.sorted_positions(key, 0)
+            full = [pos for (pos,) in i64.iter_unpack(merged_file(tmp_path, key.title).read_bytes())]
+            assert len(full) == n > 3
+            for k in (0, 1, 3, n, n + 3, 10**15):
+                assert store.sorted_positions(key, k) == full[:k], k
+            assert store.sorted_positions(key) == full
+
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_a_partial_tail_fails_only_a_read_that_reaches_it(self, tmp_path, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(pathstore, "_BLOCK_RECORDS", block)
+        random_run(tmp_path, workers=2)
+        store = MergedStore(tmp_path)
+        key = SortKey.INTEGRITY
+        full = store.sorted_positions(key)
+        n = len(full)
+        with open(merged_file(tmp_path, key.title), "ab") as fh:
+            fh.write(b"\x01\x02\x03")
+        for k in (None, n + 1, n + 3):
+            with pytest.raises(FormatError, match=r"^Integrity: truncated record, 3 of 8 bytes$"):
+                store.sorted_positions(key, k)
+        for k in (0, 1, n - 1, n):
+            assert store.sorted_positions(key, k) == full[:k]
+        assert [pos for pos, _ in store.query_sorted(key, n)] == full
+
+    def test_a_negative_k_is_rejected(self, tmp_path):
+        random_run(tmp_path, workers=2)
+        store = MergedStore(tmp_path)
+        for call in (store.sorted_positions, store.query_sorted):
+            with pytest.raises(ValueError, match=r"^k must be 0 or more, got -1$"):
+                call(SortKey.ID, -1)
+
     def test_remerge_invalidates_sorted_files(self, tmp_path):
         worker_rows, _ = random_run(tmp_path)
         store = MergedStore(tmp_path)
-        target = store.ensure_sorted(SortKey.ID)
+        target = merged_file(tmp_path, SortKey.ID.title)
+        store.sorted_positions(SortKey.ID, 0)
         assert target.exists()
         write_workers(tmp_path, worker_rows)
         merge_final_and_index(tmp_path, [0, 1, 2, 3])
         assert not target.exists()
-        assert store.ensure_sorted(SortKey.ID).exists()
+        store.sorted_positions(SortKey.ID, 0)
+        assert target.exists()
 
     def test_failed_lazy_merge_leaves_no_sort_file(self, tmp_path):
         random_run(tmp_path)
@@ -983,7 +1067,8 @@ class TestMerge:
     def test_truncated_index_raises(self, tmp_path):
         worker_rows, _ = random_run(tmp_path)
         store = MergedStore(tmp_path)
-        store.ensure_sorted(SortKey.ID)
+        store.sorted_positions(SortKey.ID, 0)
+        assert merged_file(tmp_path, SortKey.ID.title).exists()
         write_workers(tmp_path, worker_rows)
         for index in (merged_file(tmp_path, INDEX_TITLE), worker_file(tmp_path, INDEX_TITLE, 0)):
             with open(index, "r+b") as fh:

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import attackpaths
+from attackpaths.pathstore import SortKey
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "attackpaths").glob("*.py"))
@@ -37,3 +38,48 @@ def test_every_unexported_function_is_used_outside_the_tests():
             ):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+STRUCT_CALLS = {"Struct", "pack", "unpack", "unpack_from", "iter_unpack"}
+NATIVE_ORDER = {"frombytes", "tobytes", "fromfile", "tofile"}
+
+
+def is_struct_call(node, names=STRUCT_CALLS) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (
+        isinstance(func, ast.Attribute) and func.attr in names
+        and isinstance(func.value, ast.Name) and func.value.id == "struct"
+    )
+
+
+def test_every_binary_layout_is_little_endian():
+    # The on-disk format is little-endian, and a native-order read passes
+    # every test on a little-endian machine.  So every struct format in the
+    # package starts with "<", and no array is filled from or dumped to bytes
+    # in native order: an array is built from a struct.unpack result or empty.
+    native, computed = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and node.attr in NATIVE_ORDER:
+                native.append(f"{where} .{node.attr}")
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            first = node.args[0]
+            if is_struct_call(node):
+                if isinstance(first, ast.JoinedStr) and first.values:
+                    first = first.values[0]
+                if not isinstance(first, ast.Constant):
+                    computed.append((path.name, ast.unparse(first)))
+                elif not str(first.value).startswith("<"):
+                    native.append(f"{where} format {first.value!r}")
+            func = node.func
+            if ((isinstance(func, ast.Name) and func.id == "array") or (
+                isinstance(func, ast.Attribute) and func.attr == "array"
+            )) and len(node.args) > 1 and not is_struct_call(node.args[1], {"unpack"}):
+                native.append(f"{where} array({ast.unparse(node.args[1])})")
+    # The one computed format is SortKey's layout, checked through every member.
+    assert computed == [("pathstore.py", "layout")]
+    native += [f"SortKey.{key.name} {key.record.format!r}" for key in SortKey
+               if not key.record.format.startswith("<")]
+    assert native == []
