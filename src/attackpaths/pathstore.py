@@ -2,18 +2,16 @@
 
 All integers are little-endian two's complement; floats are IEEE 754 doubles.
 Each fixed-width record shape has one ``struct.Struct``, from which the size
-constants derive.  A file of such records is read a block at a time by
-``_records``, a merged sort file's first k rows in one read; a partial
-trailing record raises ``FormatError`` naming the file.
+constants derive; a partial trailing record raises ``FormatError`` naming the file.
 Path records are variable-width: ``decode_path`` decodes one from a buffer
 into named tuples; each ``MergedStore`` interns entity records and environment
 fact lists by their bytes (``_INTERN_LIMIT`` in all), so its records may share them.
 The search is depth-first, so consecutive records often begin with the same
 connections, byte for byte; one pass or one query decodes each such run once
-and shares its ``ConnectionRecord``s, matched by their bytes.  A store keeps
-what ``read_path_at`` decoded by position (``_HELD_LIMIT`` record bytes in
-all) and returns it again while one positioned read of its length there
-returns its bytes.
+and shares its ``ConnectionRecord``s, matched by their bytes.  A store reads by
+position through raw descriptors, one per call or query and never kept, as a
+rerun replaces ``Final paths`` by rename.  What ``read_path_at`` decoded is kept by
+position and returned again while one ``os.pread`` of its length there returns its bytes.
 
 * fact (``_FACT``): int32 fact ID, one value byte (0 or 1) -- 5 bytes
 * index or merged sort-file entry (``_I64``): int64 byte position
@@ -57,7 +55,7 @@ import time
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, starmap
@@ -424,39 +422,21 @@ def _index_count(index: Path) -> int:
     return _record_count(index.stat().st_size, _I64, index.name)
 
 
-def _decode_at(
-    fh: BinaryIO, buf: bytes, pos: int, seen: dict, prefix: list
-) -> tuple[PathRecord, bytes, int]:
-    """``decode_path`` at ``buf[pos:]``, where ``buf`` ends at ``fh``'s
-    position: a record running past it is decoded again once more of ``fh``
-    is read.  Returns the record, the buffer it was decoded from and its end."""
+def _decode_at(fd: int, buf: bytes, pos: int, seen: dict, prefix: list,
+               at: Optional[int] = None) -> tuple[PathRecord, bytes, int]:
+    """``decode_path`` at ``buf[pos:]``, read on from ``fd`` (at its offset, or by ``os.pread``
+    for a record at file offset ``at``) while it runs past ``buf``; returns record, buffer, end."""
     while True:
         try:
             record, end = decode_path(buf, pos, seen, prefix)
             return record, buf, end
         except _Truncated:
             # The bytes held at least double, so a long record is retried few times.
-            more = fh.read(max(_READ_BLOCK, len(buf) - pos))
+            n = max(_READ_BLOCK, len(buf) - pos)
+            more = os.read(fd, n) if at is None else os.pread(fd, n, at + len(buf) - pos)
             if not more:
                 raise
             buf, pos = buf[pos:] + more, 0
-
-
-def _read_paths(finals: Path, index: Path, seen: dict) -> Iterator[PathRecord]:
-    """Decode a final-paths file front to back, one record per index entry,
-    ``_READ_BLOCK`` bytes at a time; the file must end after the last one."""
-    count = _index_count(index)
-    prefix: list = []
-    with open(finals, "rb", buffering=0) as fh:
-        buf, pos = fh.read(_READ_BLOCK), 0
-        for n in range(count):
-            try:
-                record, buf, pos = _decode_at(fh, buf, pos, seen, prefix)
-            except FormatError as e:
-                raise FormatError(f"{finals.name}, record {n}: {e}") from None
-            yield record
-        if pos < len(buf) or fh.read(1):
-            raise FormatError(f"{finals.name}: data after the last of {count} indexed records")
 
 
 def write_all_sort_files(directory, worker: int, columns: MetricColumns) -> None:
@@ -612,66 +592,86 @@ class MergedStore:
         return _index_count(self._index)
 
     def read_path_at(
-        self, pos: int, *, fh: Optional[BinaryIO] = None, prefix: Optional[list] = None
+        self, pos: int, *, fd: Optional[int] = None, prefix: Optional[list] = None
     ) -> PathRecord:
-        """The path at byte ``pos``; ``query_sorted`` passes its open file and one ``prefix``.
-        A record read there before, while it fits under ``_HELD_LIMIT``, is
-        returned again if one positioned read of its length there returns its
-        bytes: records are self-delimiting, so those bytes decode to an equal
-        one.  Otherwise its entry is dropped and the record decoded afresh."""
+        """The path at byte ``pos``, read through ``fd`` or a descriptor opened for the call;
+        ``query_sorted`` passes its own and one ``prefix``.  A record read there before (under
+        ``_HELD_LIMIT``) is returned while one ``os.pread`` of its length there returns its
+        bytes, as records are self-delimiting; otherwise it is dropped and decoded afresh."""
         prefix = [] if prefix is None else prefix
         extent, record = self._held.get(pos, (b"", None))
-        with open(self._finals, "rb", buffering=0) if fh is None else nullcontext(fh) as fh:
+        own = fd is None
+        fd = os.open(self._finals, os.O_RDONLY) if own else fd
+        try:
             if record is not None:
-                if os.pread(fh.fileno(), len(extent), pos) == extent:
+                if os.pread(fd, len(extent), pos) == extent:
                     return record
                 del self._held[pos]
                 self._held_bytes -= len(extent)
-            fh.seek(pos)
-            buf = fh.read(max(_FIRST_READ, len(extent)))
-            try:
-                record, buf, end = _decode_at(fh, buf, 0, self._entities, prefix)
-            except FormatError as e:
-                raise FormatError(f"{FINAL_PATHS_TITLE}, path at byte {pos}: {e}") from None
-            extent = buf[:end]
+            buf = os.pread(fd, max(_FIRST_READ, len(extent)), pos)
+            record, buf, end = _decode_at(fd, buf, 0, self._entities, prefix, at=pos)
+        except FormatError as e:
+            raise FormatError(f"{FINAL_PATHS_TITLE}, path at byte {pos}: {e}") from None
+        finally:
+            if own:
+                os.close(fd)
+        extent = buf[:end]
         if self._held_bytes + len(extent) <= _HELD_LIMIT:
             self._held[pos] = extent, record
             self._held_bytes += len(extent)
         return record
 
     def iter_paths(self) -> Iterator[PathRecord]:
-        return _read_paths(self._finals, self._index, self._entities)
+        """Decode ``Final paths`` front to back, one record per index entry,
+        ``_READ_BLOCK`` bytes at a time; the file must end after the last one."""
+        count, prefix = self.count, []
+        with open(self._finals, "rb", buffering=0) as fh:
+            buf, pos = fh.read(_READ_BLOCK), 0
+            for n in range(count):
+                try:
+                    record, buf, pos = _decode_at(fh.fileno(), buf, pos, self._entities, prefix)
+                except FormatError as e:
+                    raise FormatError(f"{FINAL_PATHS_TITLE}, record {n}: {e}") from None
+                yield record
+            if pos < len(buf) or fh.read(1):
+                raise FormatError(
+                    f"{FINAL_PATHS_TITLE}: data after the last of {count} indexed records")
 
     def sorted_positions(self, key: SortKey, k: Optional[int] = None) -> list[int]:
-        """The first ``k`` positions (all when ``None``) of the merged sort file,
-        built on first use, in one read; a k past ``_BLOCK_RECORDS`` reads the
-        file whole rather than allocate k rows' bytes up front."""
+        """The first ``k`` positions (all when ``None``) of the merged sort file, built on first
+        use; a k past ``_BLOCK_RECORDS`` reads the file whole rather than ask for k rows' bytes."""
         if k is not None and k < 0:
             raise ValueError(f"k must be 0 or more, got {k}")
         target = self._sorted[key]
         try:
-            fh = open(target, "rb", buffering=0)
+            fd = os.open(target, os.O_RDONLY)
         except FileNotFoundError:
             merge_sort_files(self.directory, key)
-            fh = open(target, "rb", buffering=0)
-        with fh:
-            data = fh.read() if k is None or k > _BLOCK_RECORDS else fh.read(k * _I64.size)
+            fd = os.open(target, os.O_RDONLY)
+        try:
+            want = os.fstat(fd).st_size if k is None or k > _BLOCK_RECORDS else k * _I64.size
+            data = os.read(fd, want)
+            while len(data) < want and (more := os.read(fd, want - len(data))):
+                data += more
+        finally:
+            os.close(fd)
         data = data if k is None else data[: k * _I64.size]
         n = _record_count(len(data), _I64, target.name)
         return list(struct.unpack(f"<{n}q", data))
 
     def query_sorted(self, key: SortKey, k: int) -> list[tuple[int, PathRecord]]:
-        """Top-k paths by the key, best first, as (position, record) pairs.
-        Ties go by position, so answers often share leading connections.  A
-        read error names the merged sort file and its row: the lazy merge does
-        not check positions against ``Index``, which would cost every first query."""
+        """Top-k paths by the key, best first, as (position, record) pairs read through one
+        descriptor.  Ties go by position, so answers often share leading connections.  A read
+        error names the merged sort file and its row: the lazy merge does not check positions."""
         positions, prefix, answer = self.sorted_positions(key, k), [], []
-        with open(self._finals, "rb", buffering=0) as fh:
-            for row, pos in enumerate(positions):
-                try:
-                    answer.append((pos, self.read_path_at(pos, fh=fh, prefix=prefix)))
-                except FormatError as e:
-                    raise FormatError(f"{key.title} row {row}: {e}") from None
+        fd = os.open(self._finals, os.O_RDONLY)
+        try:
+            for pos in positions:
+                answer.append((pos, self.read_path_at(pos, fd=fd, prefix=prefix)))
+        except FormatError as e:
+            raise FormatError(f"{key.title} row {len(answer)}: {e}") from None
+        finally:
+            os.close(fd)
         return answer
 
     def top_values(self, key: SortKey, k: int) -> list:

@@ -268,6 +268,16 @@ class TestQuery:
         assert err[0].startswith(f"error: run directory {tmp_path} is damaged: ")
         assert "Availability-0.tmp" in err[0]
 
+    def test_missing_final_paths_is_reported(self, tmp_path, capsys):
+        layered_run(tmp_path)
+        merged_file(tmp_path, FINAL_PATHS_TITLE).unlink()
+        rc = run_cli("query", "--out", str(tmp_path), "-k", "3")
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: run directory {tmp_path} is damaged: "
+            f"[Errno 2] No such file or directory: '{tmp_path}/Final paths'"
+        ]
+
     def test_negative_k_rejected(self, tmp_path, capsys):
         layered_run(tmp_path)
         assert run_cli("query", "--out", str(tmp_path), "-k", "-1") == 1

@@ -500,9 +500,10 @@ class TestSharedConnections:
 
         def counting_open(file, *args, **kwargs):
             opened.append(Path(file).name)
-            return open(file, *args, **kwargs)
+            return real_open(file, *args, **kwargs)
 
-        monkeypatch.setattr(pathstore, "open", counting_open, raising=False)
+        real_open = os.open
+        monkeypatch.setattr(os, "open", counting_open)
         for key in SortKey:
             expected = [(pos, store.read_path_at(pos)) for pos in store.sorted_positions(key)]
             opened.clear()
@@ -679,14 +680,14 @@ class TestHeldRecords:
 
         def counting_open(file, *args, **kwargs):
             opened.append(Path(file).name)
-            return open(file, *args, **kwargs)
+            return real_open(file, *args, **kwargs)
 
         def counting_exists(path, *args, **kwargs):
             checked.append(path.name)
             return real_exists(path, *args, **kwargs)
 
-        real_exists = Path.exists
-        monkeypatch.setattr(pathstore, "open", counting_open, raising=False)
+        real_open, real_exists = os.open, Path.exists
+        monkeypatch.setattr(os, "open", counting_open)
         monkeypatch.setattr(Path, "exists", counting_exists)
         for key in SortKey:
             cold = store.query_sorted(key, 10)
@@ -712,6 +713,77 @@ class TestHeldRecords:
             store.query_sorted(key, 10)
         assert pos not in store._held
         assert store._held_bytes == sum(len(e) for e, _ in store._held.values())
+
+    def test_a_held_read_without_a_descriptor_is_the_held_record(self, tmp_path):
+        layered_run(tmp_path, workers=3)
+        store = MergedStore(tmp_path)
+        fd = os.open(merged_file(tmp_path, FINAL_PATHS_TITLE), os.O_RDONLY)
+        try:
+            for n, pos in enumerate(store.sorted_positions(SortKey.ID, 10)):
+                first = store.read_path_at(pos, fd=fd) if n % 2 else store.read_path_at(pos)
+                assert store.read_path_at(pos) is first
+                assert store.read_path_at(pos, fd=fd) is first
+        finally:
+            os.close(fd)
+
+    # Per damage, the outcome of sorted_positions, read_path_at and query_sorted.
+    OUTCOMES = {
+        "none": ["ok", "ok", "ok"],
+        "no final paths": ["ok", "FileNotFoundError", "FileNotFoundError"],
+        "cut held record": ["ok", "FormatError", "FormatError"],
+        "shifted position": ["ok", "FormatError", "FormatError"],
+        "partial sort-file tail": ["FormatError", "ok", "FormatError"],
+        "no worker sort file": ["FileNotFoundError", "ok", "FileNotFoundError"],
+    }
+
+    @pytest.mark.parametrize("damage", OUTCOMES)
+    def test_every_descriptor_opened_is_closed(self, tmp_path, monkeypatch, damage):
+        random_run(tmp_path)
+        store = MergedStore(tmp_path)
+        key = SortKey.AVAILABILITY
+        pos = max(p for p, _ in store.query_sorted(key, 5))
+        finals, target = merged_file(tmp_path, FINAL_PATHS_TITLE), merged_file(tmp_path, key.title)
+        rows = target.read_bytes()
+        if damage == "no final paths":
+            finals.unlink()
+        elif damage == "cut held record":
+            os.truncate(finals, pos + len(store._held[pos][0]) - 1)
+        elif damage == "shifted position":
+            pos = i64.unpack_from(rows, 3 * 8)[0] + 1
+            target.write_bytes(rows[:3 * 8] + i64.pack(pos) + rows[4 * 8:])
+        elif damage == "partial sort-file tail":
+            target.write_bytes(rows + b"\x01\x02\x03")
+        elif damage == "no worker sort file":
+            target.unlink()
+            worker_file(tmp_path, key.title, 0).unlink()
+        live, opened = set(), []
+
+        def tracked_open(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            live.add(fd)
+            opened.append(Path(path).name)
+            return fd
+
+        def tracked_close(fd):
+            live.remove(fd)
+            real_close(fd)
+
+        real_open, real_close = os.open, os.close
+        monkeypatch.setattr(os, "open", tracked_open)
+        monkeypatch.setattr(os, "close", tracked_close)
+        outcomes = []
+        # The warm store holds the records of its first query; a new one holds none.
+        for reader in (store, MergedStore(tmp_path)):
+            for call in (lambda: reader.sorted_positions(key), lambda: reader.read_path_at(pos),
+                         lambda: reader.query_sorted(key, reader.count + 1)):
+                try:
+                    call()
+                    outcomes.append("ok")
+                except (FormatError, OSError) as e:
+                    outcomes.append(type(e).__name__)
+        monkeypatch.undo()
+        assert outcomes == 2 * self.OUTCOMES[damage]
+        assert live == set() and opened
 
 
 def metric_columns(rows) -> MetricColumns:
@@ -1013,6 +1085,16 @@ class TestMerge:
             for k in (0, 1, 3, n, n + 3, 10**15):
                 assert store.sorted_positions(key, k) == full[:k], k
             assert store.sorted_positions(key) == full
+
+    def test_sorted_positions_read_on_after_a_short_read(self, tmp_path, monkeypatch):
+        # A read may return fewer bytes than asked before the end of the file.
+        random_run(tmp_path, workers=2)
+        store = MergedStore(tmp_path)
+        full = store.sorted_positions(SortKey.ID)
+        real_read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, n: real_read(fd, min(n, 5)))
+        for k in (None, 0, 1, 3, len(full), len(full) + 3):
+            assert store.sorted_positions(SortKey.ID, k) == full[:k], k
 
     @pytest.mark.parametrize("block", [None, 2])
     def test_a_partial_tail_fails_only_a_read_that_reaches_it(self, tmp_path, monkeypatch, block):
