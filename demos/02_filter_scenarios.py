@@ -37,8 +37,7 @@ for text in scenarios:
         hops = []
         for conn in path.connections:
             if conn.link is None:
-                hops.append(f"[finalize on C{conn.entity1.base_id}]")
+                hops.append(f"[finalize on C{conn.entity1.id}]")
             else:
-                hops.append(f"C{conn.entity1.base_id}-L{conn.link.base_id}->"
-                            f"C{conn.entity2.base_id}")
+                hops.append(f"C{conn.entity1.id}-L{conn.link.id}->C{conn.entity2.id}")
         print(f"{'':<16} {' '.join(hops)}")

@@ -120,7 +120,7 @@ def _traversal_config(args, net: Network) -> TraversalConfig:
 
 def _engine_config(args, tcfg: TraversalConfig, mode=ActionMode.DRY_RUN) -> engine.EngineConfig:
     try:
-        return engine.EngineConfig(tcfg, args.workers, args.redistribution_threshold, mode)
+        return engine.EngineConfig(tcfg, worker_count=args.workers, action_mode=mode)
     except ValueError as e:
         raise CliError(str(e)) from None
 
@@ -147,12 +147,10 @@ def cmd_run(args) -> int:
     if args.mode == "single" and args.workers is not None:
         raise CliError("--workers only applies to --mode multi")
     mode = ActionMode.EXECUTE if args.execute_actions else ActionMode.DRY_RUN
-    ecfg = _engine_config(args, tcfg, mode)
     if args.mode == "single":
-        executor = ActionExecutor(ecfg.action_mode)
-        _, summary = engine.run_single(net, tcfg, out_dir, executor=executor, progress=True)
+        _, summary = engine.run_single(net, tcfg, out_dir, ActionExecutor(mode), progress=True)
     else:
-        _, summary = engine.run_multi(net, ecfg, out_dir, progress=True)
+        _, summary = engine.run_multi(net, _engine_config(args, tcfg, mode), out_dir, progress=True)
     _print_summary(summary, out_dir)
     return 0
 
@@ -273,8 +271,6 @@ def _add_model_args(p, with_traversal=True):
                        help="stop once N final paths exist")
         p.add_argument("--time-limit", metavar="DURATION",
                        help="stop after this long (e.g. 90, 45s, 1h30m)")
-        p.add_argument("--redistribution-threshold", type=int, default=10,
-                       help="stack size that triggers work transfer (default 10)")
         p.add_argument("--workers", type=int,
                        help="worker count (default: processors - 1)")
         p.add_argument("--out", help="output directory (default: $SONARR_OUT)")

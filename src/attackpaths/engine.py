@@ -7,15 +7,16 @@ worker's failure surfaces as ``EngineError``; an error raised in the calling
 process, in either mode, is raised unchanged.
 ``search_loop`` applies every bound; a multi-worker run shares the counts it
 checks them against and one stop word, which holds its stop reason.
-Whenever a worker's stack reaches the redistribution threshold and some
-other worker sits idle, the bottom half of the stack moves to the
-lowest-numbered idle worker.  An idle worker sleeps on its bell until a
-transfer or a stop rings it.  The worker that goes idle and finds every
-worker idle ends the run.  That is safe because a transfer marks its
-receiver working, under the coordination lock, before it sends, and the
-receiver stays working until it has taken the batch: "every worker idle"
-already means "no transfer in flight".  The workers share the status table,
-so no termination token has to travel between them.
+Before each pop, a worker whose stack holds two or more paths gives the
+bottom half to the lowest-numbered idle worker, if one sits idle; a one-path
+stack cannot be split and stays put (the stack splitting of Rao and Kumar).
+An idle worker sleeps on its bell until a transfer or a stop rings it.  The
+worker that goes idle and finds every worker idle ends the run.  That is
+safe because a transfer marks its receiver working, under the coordination
+lock, before it sends, and the receiver stays working until it has taken
+the batch: "every worker idle" already means "no transfer in flight".  The
+workers share the status table, so no termination token has to travel
+between them.
 
 A run checks its network and endpoints (``traversal.check_search``) before
 it touches its directory, so a bad input leaves an earlier run whole.  It
@@ -34,7 +35,7 @@ import queue
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -72,13 +73,11 @@ def plan_workers(processor_count: int) -> int:
 @dataclass(frozen=True)
 class EngineConfig:
     traversal: TraversalConfig
+    _: KW_ONLY
     worker_count: Optional[int] = None
-    redistribution_threshold: int = 10
     action_mode: ActionMode = ActionMode.DRY_RUN
 
     def __post_init__(self):
-        if self.redistribution_threshold < 2:
-            raise ValueError("redistribution_threshold must be at least 2")
         if self.worker_count is not None and self.worker_count < 1:
             raise ValueError("worker_count must be at least 1")
 
@@ -104,11 +103,11 @@ class SharedState:
         self.results = ctx.Queue()
 
 
-def redistribute(stack: list, shared: SharedState, worker: int, threshold: int) -> Optional[int]:
+def redistribute(stack: list, shared: SharedState) -> Optional[int]:
     """Move the bottom half of this worker's stack to the lowest-numbered
-    idle worker, if the stack has reached the threshold and someone is idle.
+    idle worker, if the stack holds two or more paths and someone is idle.
     Returns the receiving worker, or None when no transfer happened."""
-    if len(stack) < threshold:
+    if len(stack) < 2:
         return None
     w = shared.worker_count
     if not any(shared.status[i] == _IDLE for i in range(w)):
@@ -147,20 +146,19 @@ def _request_stop(shared: SharedState, reason: StopReason = StopReason.EXHAUSTED
 
 class SharedScheduler:
     """Scheduling for worker ``worker`` of a multi-worker run: the counts and
-    the stop flag are shared by all workers, a stack at the threshold gives
-    work away, and an empty one waits for a transfer."""
+    the stop flag are shared by all workers, a stack that can be split gives
+    half away to an idle worker, and an empty one waits for a transfer."""
 
-    def __init__(self, shared: SharedState, worker: int, threshold: int, started: float):
+    def __init__(self, shared: SharedState, worker: int, started: float):
         self.shared = shared
         self.worker = worker
         self.workers = shared.worker_count
-        self.threshold = threshold
         self.started = started
 
     def keep_going(self, stack: list) -> bool:
         shared = self.shared
         while not shared.stop.value:
-            redistribute(stack, shared, self.worker, self.threshold)
+            redistribute(stack, shared)
             if stack:
                 return True
             batch = _idle_wait(shared, self.worker)
@@ -225,7 +223,7 @@ def _worker_main(
     try:
         result = _search_to_files(
             net, config.traversal,
-            SharedScheduler(shared, worker, config.redistribution_threshold, started), out_dir,
+            SharedScheduler(shared, worker, started), out_dir,
             ActionExecutor(config.action_mode), progress,
         )
     except BaseException:

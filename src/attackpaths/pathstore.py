@@ -64,7 +64,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterator, NamedTuple, Optional
 
 from .model import Network
-from .traversal import RunSummary, TraversalPath
+from .traversal import EntityRecord, RunSummary, TraversalPath
 
 _I32 = struct.Struct("<i")
 _I64 = struct.Struct("<q")
@@ -170,7 +170,7 @@ def compute_metrics(path: TraversalPath, net: Network) -> MetricVector:
     for conn in path.connections:
         if conn.link is None:
             continue
-        for cp in net.links_by_id[conn.link.base_id].custom_properties:
+        for cp in net.links_by_id[conn.link.id].custom_properties:
             if cp.key == "traversal_chance":
                 chance *= float(cp.value)
 
@@ -211,11 +211,6 @@ class MetricColumns:
 # ---------------------------------------------------------------------------
 # Neutral record form used by the codec
 
-class EntityRecord(NamedTuple):
-    id: int
-    facts: tuple[tuple[int, bool], ...]
-
-
 class ConnectionRecord(NamedTuple):
     id: int
     entity1: Optional[EntityRecord]
@@ -231,21 +226,10 @@ class PathRecord(NamedTuple):
 
 
 def path_to_record(path: TraversalPath) -> PathRecord:
-    def ent(v):
-        if v is None:
-            return None
-        return EntityRecord(*v)
-
     return PathRecord(
         id=path.id,
         connections=tuple(
-            ConnectionRecord(
-                id=c.id,
-                entity1=ent(c.entity1),
-                link=ent(c.link),
-                entity2=ent(c.entity2),
-                env_facts=tuple(c.env_changes.items()),
-            )
+            ConnectionRecord(c.id, c.entity1, c.link, c.entity2, tuple(c.env_changes.items()))
             for c in path.connections
         ),
         env_facts=path.connections[-1].env,
@@ -411,9 +395,9 @@ def _record_count(nbytes: int, layout: struct.Struct, what: str) -> int:
     return nbytes // layout.size
 
 
-def _records(fh: BinaryIO, layout: struct.Struct, what: str, n=_BLOCK_RECORDS) -> Iterator[tuple]:
-    """Unpack a file of fixed-width ``layout`` records, ``n`` at a time."""
-    while buf := fh.read(layout.size * n):
+def _records(fh: BinaryIO, layout: struct.Struct, what: str) -> Iterator[tuple]:
+    """Unpack a file of fixed-width ``layout`` records, ``_BLOCK_RECORDS`` at a time."""
+    while buf := fh.read(layout.size * _BLOCK_RECORDS):
         _record_count(len(buf), layout, what)
         yield from layout.iter_unpack(buf)
 
@@ -639,7 +623,7 @@ class MergedStore:
 
     def sorted_positions(self, key: SortKey, k: Optional[int] = None) -> list[int]:
         """The first ``k`` positions (all when ``None``) of the merged sort file, built on first
-        use; a k past ``_BLOCK_RECORDS`` reads the file whole rather than ask for k rows' bytes."""
+        use; a k past ``_BLOCK_RECORDS`` asks for no more than the file's bytes."""
         if k is not None and k < 0:
             raise ValueError(f"k must be 0 or more, got {k}")
         target = self._sorted[key]
@@ -650,12 +634,13 @@ class MergedStore:
             fd = os.open(target, os.O_RDONLY)
         try:
             want = os.fstat(fd).st_size if k is None or k > _BLOCK_RECORDS else k * _I64.size
+            if k is not None:
+                want = min(want, k * _I64.size)
             data = os.read(fd, want)
             while len(data) < want and (more := os.read(fd, want - len(data))):
                 data += more
         finally:
             os.close(fd)
-        data = data if k is None else data[: k * _I64.size]
         n = _record_count(len(data), _I64, target.name)
         return list(struct.unpack(f"<{n}q", data))
 

@@ -8,7 +8,7 @@ map.  Rules run from the network's compiled tables (see ``model``): the
 normal tables, and the generic table of the connection's shape, cached on
 the network.  A connection names the three entities it touches (start
 container, link, end container) by owner key; once its rules have run, each
-is frozen into an ``Entity`` tuple of base ID and fact values, and the
+is frozen into an ``EntityRecord`` tuple of ID and fact values, and the
 environment into a tuple of fact values beside them.  A path therefore
 carries a full history of entity and environment states.
 
@@ -148,21 +148,21 @@ def check_search(net: Network, config: TraversalConfig) -> None:
             )
 
 
-class Entity(NamedTuple):
-    """A connection's frozen copy of one container or link: its base ID and
-    its fact values, in declaration order, as the path saw them once the
-    connection's rules had run."""
+class EntityRecord(NamedTuple):
+    """A connection's frozen copy of one container or link: its ID and its
+    fact values, in declaration order, as the path saw them once the
+    connection's rules had run.  The store writes and decodes this record."""
 
-    base_id: int
+    id: int
     facts: tuple[tuple[int, bool], ...]
 
 
 class Connection:
     """One traversal step.  ``entity1``, ``link`` and ``entity2`` are the
-    start container, the link and the end container, None where absent: owner
-    keys until ``run_rules`` freezes each into an ``Entity``, and ``env`` into
-    the environment's fact values in declaration order.  ``env`` stays None
-    on a step where no generic rule fired, which is then dropped unfrozen."""
+    start container, the link and the end container, None where absent:
+    owner keys until ``run_rules`` freezes each into an ``EntityRecord``, and
+    ``env`` into the environment's fact values in declaration order.  A step
+    where no generic rule fired is dropped unfrozen, its ``env`` still None."""
 
     __slots__ = ("id", "entity1", "link", "entity2", "env", "triggered_rules", "env_changes")
 
@@ -197,7 +197,7 @@ class TraversalPath:
         if not self.connections:
             return config.start
         last = self.connections[-1]
-        return (last.entity2 or last.entity1).base_id
+        return (last.entity2 or last.entity1).id
 
 
 def clone_path(path: TraversalPath, new_id: int) -> TraversalPath:
@@ -282,10 +282,10 @@ def run_rules(
             break
     if generic_count or finalization:
         values = net.base_values
-        conn.entity1 = Entity(conn.entity1[1], _freeze(changed, values[conn.entity1]))
+        conn.entity1 = EntityRecord(conn.entity1[1], _freeze(changed, values[conn.entity1]))
         if not finalization:
-            conn.link = Entity(conn.link[1], _freeze(changed, values[conn.link]))
-            conn.entity2 = Entity(conn.entity2[1], _freeze(changed, values[conn.entity2]))
+            conn.link = EntityRecord(conn.link[1], _freeze(changed, values[conn.link]))
+            conn.entity2 = EntityRecord(conn.entity2[1], _freeze(changed, values[conn.entity2]))
         conn.env = _freeze(changed, env)
     return list(triggered)
 

@@ -112,7 +112,7 @@ def test_criterion_2_worker_count_independence(tmp_path):
                 out = tmp_path / f"s{seed}w{workers}"
                 run_multi(
                     net,
-                    EngineConfig(cfg, worker_count=workers, redistribution_threshold=4),
+                    EngineConfig(cfg, worker_count=workers),
                     out,
                 )
                 got = canonical_run(out)

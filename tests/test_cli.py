@@ -113,9 +113,8 @@ class TestRun:
         assert "--workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,message", [
-        (["--redistribution-threshold", "1"], "redistribution_threshold must be at least 2"),
         (["--workers", "0"], "--workers only applies to --mode multi"),
-    ], ids=["redistribution-threshold-1", "workers-0"])
+    ], ids=["workers-0"])
     def test_single_mode_checks_the_engine_config(
         self, flags, message, fixture_model, tmp_path, capsys
     ):
@@ -197,10 +196,9 @@ class TestRun:
         ("run", ["--time-limit", "0"]),
         ("run", ["--time-limit", ""]),
         ("run", ["--mode", "multi", "--workers", "0"]),
-        ("run", ["--mode", "multi", "--redistribution-threshold", "1"]),
         ("compare", ["--workers", "0"]),
     ], ids=["rule-limit", "max-final-paths-0", "max-final-paths-negative", "time-limit-0",
-            "time-limit-empty", "workers-0", "redistribution-threshold-1", "compare-workers-0"])
+            "time-limit-empty", "workers-0", "compare-workers-0"])
     def test_bad_bound_is_an_error_line(self, command, flags, fixture_model, tmp_path, capsys):
         rc = run_cli(
             command, "--model", fixture_model, "--start", "1", "--end", "2",
@@ -210,6 +208,19 @@ class TestRun:
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_threshold_flag_is_rejected(
+        self, command, fixture_model, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(
+                command, "--model", fixture_model, "--start", "1", "--end", "2",
+                "--out", str(tmp_path), "--redistribution-threshold", "2",
+            )
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --redistribution-threshold 2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_max_final_paths(self, tmp_path, capsys):

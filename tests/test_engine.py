@@ -66,9 +66,10 @@ class TestPlanning:
     def test_config_validation(self):
         tcfg = TraversalConfig(start=1, end=2)
         with pytest.raises(ValueError):
-            EngineConfig(tcfg, redistribution_threshold=1)
-        with pytest.raises(ValueError):
             EngineConfig(tcfg, worker_count=0)
+        # Only the traversal config is positional.
+        with pytest.raises(TypeError):
+            EngineConfig(tcfg, 2)
 
     def test_resolved_workers(self):
         tcfg = TraversalConfig(start=1, end=2)
@@ -79,19 +80,24 @@ class TestPlanning:
 class TestScheduler:
     """The coordination primitives, driven in-process."""
 
-    def test_redistribute_below_threshold(self):
+    def test_one_path_stack_is_not_split(self):
         shared = SharedState(CTX, 2)
         shared.status[1] = _IDLE
-        stack = list(range(9))
-        assert redistribute(stack, shared, 0, 10) is None
-        assert len(stack) == 9
+        stack = [0]
+        assert redistribute(stack, shared) is None
+        assert stack == [0]
         assert shared.status[1] == _IDLE
         assert not shared.bells[1].acquire(block=False)
+        # Two paths are the smallest stack that splits.
+        stack.append(1)
+        assert redistribute(stack, shared) == 1
+        assert stack == [1]
+        assert shared.inboxes[1].get(timeout=2.0) == [0]
 
     def test_redistribute_without_idle_worker(self):
         shared = SharedState(CTX, 2)
         stack = list(range(10))
-        assert redistribute(stack, shared, 0, 10) is None
+        assert redistribute(stack, shared) is None
         assert len(stack) == 10
 
     def test_redistribute_moves_bottom_half(self):
@@ -99,7 +105,7 @@ class TestScheduler:
         shared.status[1] = _IDLE
         shared.status[2] = _IDLE
         stack = list(range(10))
-        target = redistribute(stack, shared, 0, 10)
+        target = redistribute(stack, shared)
         # Lowest-numbered idle worker receives the bottom half.
         assert target == 1
         assert stack == [5, 6, 7, 8, 9]
@@ -112,7 +118,7 @@ class TestScheduler:
         shared = SharedState(CTX, 2)
         shared.status[1] = _IDLE
         stack = list(range(11))
-        assert redistribute(stack, shared, 0, 10) == 1
+        assert redistribute(stack, shared) == 1
         assert stack == [5, 6, 7, 8, 9, 10]
         assert shared.inboxes[1].get(timeout=2.0) == [0, 1, 2, 3, 4]
 
@@ -133,7 +139,7 @@ class TestScheduler:
         thread, got = self.idle(shared, 0)
         thread.join(timeout=5.0)
         assert got == {"batch": None}
-        assert SharedScheduler(shared, 0, 10, 0.0).stop_reason is StopReason.EXHAUSTED
+        assert SharedScheduler(shared, 0, 0.0).stop_reason is StopReason.EXHAUSTED
 
     def test_transfer_receiver_keeps_the_run_going(self):
         # Worker 1 sleeps, worker 0 hands it work and goes idle: worker 1 is
@@ -142,19 +148,19 @@ class TestScheduler:
         receiver, received = self.idle(shared, 1)
         while shared.status[1] != _IDLE:
             time.sleep(0.001)
-        assert redistribute(list(range(4)), shared, 0, 2) == 1
+        assert redistribute(list(range(4)), shared) == 1
         receiver.join(timeout=5.0)
         assert received == {"batch": [0, 1]}
         giver, woken = self.idle(shared, 0)
         giver.join(timeout=0.2)
         assert giver.is_alive()
         assert shared.stop.value == 0
-        assert SharedScheduler(shared, 0, 10, 0.0).stop_reason is None
+        assert SharedScheduler(shared, 0, 0.0).stop_reason is None
         last, ended = self.idle(shared, 1)
         last.join(timeout=5.0)
         giver.join(timeout=5.0)
         assert ended == woken == {"batch": None}
-        assert SharedScheduler(shared, 0, 10, 0.0).stop_reason is StopReason.EXHAUSTED
+        assert SharedScheduler(shared, 0, 0.0).stop_reason is StopReason.EXHAUSTED
 
     def test_idle_wait_after_stop_returns_at_once(self):
         shared = SharedState(CTX, 2)
@@ -164,7 +170,7 @@ class TestScheduler:
         thread.join(timeout=0.5)
         assert got == {"batch": None}
         assert shared.stop.value == 1 + _STOP_REASONS.index(StopReason.MAX_PATHS)
-        assert SharedScheduler(shared, 0, 10, 0.0).stop_reason is StopReason.MAX_PATHS
+        assert SharedScheduler(shared, 0, 0.0).stop_reason is StopReason.MAX_PATHS
 
     def test_note_final_sets_stop_at_limit(self):
         # One worker of one, in this process: the shared count reaches the
@@ -173,7 +179,7 @@ class TestScheduler:
         start, end = start_and_end(net)
         cfg = TraversalConfig(start=start, end=end, stop_max_final_paths=3)
         shared = SharedState(CTX, 1)
-        scheduler = SharedScheduler(shared, 0, 10, time.perf_counter())
+        scheduler = SharedScheduler(shared, 0, time.perf_counter())
         summary = search_loop(net, cfg, scheduler, lambda path: None)
         assert summary.total_final_paths == shared.finals.value == 3
         assert scheduler.stop_reason is summary.stop_reason is StopReason.MAX_PATHS
@@ -280,7 +286,7 @@ class TestMultiWorker:
         run_single(net, cfg, tmp_path / "s")
         run_multi(
             net,
-            EngineConfig(cfg, worker_count=3, redistribution_threshold=2),
+            EngineConfig(cfg, worker_count=3),
             tmp_path / "m",
         )
         m = canonical_run(tmp_path / "m")
@@ -297,7 +303,7 @@ class TestMultiWorker:
             run_single(net, cfg, sdir)
             run_multi(
                 net,
-                EngineConfig(cfg, worker_count=2, redistribution_threshold=4),
+                EngineConfig(cfg, worker_count=2),
                 mdir,
             )
             assert canonical_run(sdir) == canonical_run(mdir), f"seed {seed}"
@@ -313,7 +319,7 @@ class TestMultiWorker:
         for attempt in range(20):
             out = tmp_path / f"m{attempt}"
             run_multi(
-                net, EngineConfig(cfg, worker_count=4, redistribution_threshold=2), out,
+                net, EngineConfig(cfg, worker_count=4), out,
             )
             assert canonical_run(out) == expected, attempt
 
@@ -420,7 +426,7 @@ class TestStopsMulti:
         assert list((tmp_path / "s").glob("*.tmp")) == []
         with pytest.raises(EngineError, match="StepBudgetExceeded"):
             run_multi(
-                net, EngineConfig(cfg, worker_count=2, redistribution_threshold=2), tmp_path / "m"
+                net, EngineConfig(cfg, worker_count=2), tmp_path / "m"
             )
         assert list((tmp_path / "m").glob("*.tmp")) == []
 
@@ -466,7 +472,7 @@ class TestOneStopRule:
                 assert (got.stop_reason, got.total_final_paths) == (reason, found), (name, n)
             for workers in (1, 2):
                 _, m = run_multi(
-                    net, EngineConfig(cfg, worker_count=workers, redistribution_threshold=2),
+                    net, EngineConfig(cfg, worker_count=workers),
                     tmp_path / f"m{n}-{workers}",
                 )
                 overshoot = workers - 1 if n <= total else 0

@@ -313,7 +313,7 @@ def test_run_multi_matches_the_reference(seed, cyclic, workers, tmp_path):
     for (form, _, metrics), count in reference_paths(net, config).items():
         expected[form, metrics] += count
     store, _ = run_multi(
-        net, EngineConfig(config, worker_count=workers, redistribution_threshold=2), tmp_path
+        net, EngineConfig(config, worker_count=workers), tmp_path
     )
     assert len(expected) > 1
     assert stored_paths(store) == expected, mismatch(seed, cyclic, 10, net)

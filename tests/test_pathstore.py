@@ -1096,6 +1096,21 @@ class TestMerge:
         for k in (None, 0, 1, 3, len(full), len(full) + 3):
             assert store.sorted_positions(SortKey.ID, k) == full[:k], k
 
+    def test_a_k_past_the_block_asks_for_k_rows_only(self, tmp_path, monkeypatch):
+        # A k past the block reads at most k rows' bytes, not the whole file.
+        monkeypatch.setattr(pathstore, "_BLOCK_RECORDS", 2)
+        layered_run(tmp_path)
+        store = MergedStore(tmp_path)
+        for key in SortKey:
+            full = store.sorted_positions(key)
+            assert len(full) == 27
+            asked = []
+            real_read = os.read
+            monkeypatch.setattr(os, "read", lambda fd, n: asked.append(n) or real_read(fd, n))
+            assert store.sorted_positions(key, 3) == full[:3]
+            monkeypatch.setattr(os, "read", real_read)
+            assert asked and max(asked) <= 3 * 8, (key, asked)
+
     @pytest.mark.parametrize("block", [None, 2])
     def test_a_partial_tail_fails_only_a_read_that_reaches_it(self, tmp_path, monkeypatch, block):
         if block:

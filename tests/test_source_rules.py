@@ -83,3 +83,29 @@ def test_every_binary_layout_is_little_endian():
     native += [f"SortKey.{key.name} {key.record.format!r}" for key in SortKey
                if not key.record.format.startswith("<")]
     assert native == []
+
+
+def test_every_parameter_is_read():
+    # A parameter that its function never reads is a knob that does nothing:
+    # every caller pays for it and no behaviour depends on it.  ``self``,
+    # ``cls`` and names that start with "_" are exempt; a read in a nested
+    # function or lambda counts.
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({name})"
+                for name in params
+                if name not in read and name not in ("self", "cls") and not name.startswith("_")
+            ]
+    assert unread == []

@@ -52,9 +52,9 @@ def route(path):
     out = []
     for c in path.connections:
         out.append((
-            c.entity1.base_id if c.entity1 else None,
-            c.link.base_id if c.link else None,
-            c.entity2.base_id if c.entity2 else None,
+            c.entity1.id if c.entity1 else None,
+            c.link.id if c.link else None,
+            c.entity2.id if c.entity2 else None,
         ))
     return out
 
@@ -322,7 +322,7 @@ class TestConnections:
         path = TraversalPath(0, 0.0)
         conn = make_connection(3, 2, 2, 0)
         run_rules(path, conn, filter_net, TraversalConfig(start=3, end=2))
-        assert (conn.entity1.base_id, conn.link.base_id, conn.entity2.base_id) == (3, 2, 2)
+        assert (conn.entity1.id, conn.link.id, conn.entity2.id) == (3, 2, 2)
 
     def test_variant_lookup_beats_base(self, filter_net):
         cfg = TraversalConfig(start=1, end=2)
@@ -359,7 +359,7 @@ class TestIsolation:
         seed = TraversalPath(0, 0.0)
         branches, _ = expand_path(seed, net, cfg, ids, conns, ActionExecutor())
         assert len(branches) == 2
-        by_target = {b.connections[0].entity2.base_id: b for b in branches}
+        by_target = {b.connections[0].entity2.id: b for b in branches}
         # The branch into C2 marked C2 visited; the sibling never saw C2.
         assert by_target[2].changed[2] is True
         assert 2 not in by_target[3].changed
