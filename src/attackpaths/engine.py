@@ -7,16 +7,15 @@ worker's failure surfaces as ``EngineError``; an error raised in the calling
 process, in either mode, is raised unchanged.
 ``search_loop`` applies every bound; a multi-worker run shares the counts it
 checks them against and one stop word, which holds its stop reason.
-Before each pop, a worker whose stack holds two or more paths gives the
-bottom half to the lowest-numbered idle worker, if one sits idle; a one-path
+Before each pop, a worker whose stack holds two or more paths puts the
+bottom half on the one hand-off queue, if some worker is idle; a one-path
 stack cannot be split and stays put (the stack splitting of Rao and Kumar).
-An idle worker sleeps on its bell until a transfer or a stop rings it.  The
-worker that goes idle and finds every worker idle ends the run.  That is
-safe because a transfer marks its receiver working, under the coordination
-lock, before it sends, and the receiver stays working until it has taken
-the batch: "every worker idle" already means "no transfer in flight".  The
-workers share the status table, so no termination token has to travel
-between them.
+An idle worker adds one to the idle count and sleeps on the one bell until
+a transfer or a stop rings it.  The worker whose own idle step brings the
+count to the worker count ends the run.  That is safe because a transfer
+takes one off the count, under the coordination lock, before it sends, and
+the count stays down until a worker has taken the batch: "every worker
+idle" already means "no transfer in flight", with no termination token.
 
 A run checks its network and endpoints (``traversal.check_search``) before
 it touches its directory, so a bad input leaves an earlier run whole.  It
@@ -55,8 +54,6 @@ from .traversal import (
 # Not called here: benchmarks/tracer.py wraps these under this module's name.
 from .traversal import expand_path, single_threaded_search  # noqa: F401
 
-_WORKING = 0
-_IDLE = 1
 # ``SharedState.stop`` holds 1 + a stop reason's index here; 0 while the run goes on.
 _STOP_REASONS = tuple(StopReason)
 
@@ -88,41 +85,39 @@ class EngineConfig:
 
 
 class SharedState:
-    """Coordination primitives shared by all workers of one run.  ``stop``
-    is the stop word (see ``_STOP_REASONS``); ``_request_stop`` writes it once."""
+    """The primitives all workers of one run share, the same few for any
+    worker count: ``idle`` counts the idle workers no transfer has claimed
+    (under ``coord_lock``), each transfer puts one batch on ``handoff`` and
+    rings ``bell``, and ``_request_stop`` writes the stop word ``stop`` once."""
 
     def __init__(self, ctx, worker_count: int):
         self.worker_count = worker_count
         self.coord_lock = ctx.Lock()
-        self.status = ctx.Array("i", [_WORKING] * worker_count, lock=False)
+        self.idle = ctx.Value("i", 0, lock=False)
         self.stop = ctx.Value("i", 0, lock=False)
         self.finals = ctx.Value("i", 0)
         self.steps = ctx.Value("q", 0)
-        self.bells = [ctx.Semaphore(0) for _ in range(worker_count)]
-        self.inboxes = [ctx.Queue() for _ in range(worker_count)]
+        self.bell = ctx.Semaphore(0)
+        self.handoff = ctx.Queue()
         self.results = ctx.Queue()
 
 
 def redistribute(stack: list, shared: SharedState) -> Optional[int]:
-    """Move the bottom half of this worker's stack to the lowest-numbered
-    idle worker, if the stack holds two or more paths and someone is idle.
-    Returns the receiving worker, or None when no transfer happened."""
-    if len(stack) < 2:
-        return None
-    w = shared.worker_count
-    if not any(shared.status[i] == _IDLE for i in range(w)):
+    """Put the bottom half of this worker's stack on the hand-off queue and
+    ring the bell, if the stack holds two or more paths and a worker is idle;
+    the transfer claims that worker by taking one off the idle count first.
+    Returns the number of paths moved, or None when no transfer happened."""
+    if len(stack) < 2 or not shared.idle.value:
         return None
     with shared.coord_lock:
-        target = next((i for i in range(w) if shared.status[i] == _IDLE), None)
-        if target is None:
+        if not shared.idle.value:
             return None
-        shared.status[target] = _WORKING
+        shared.idle.value -= 1
     half = len(stack) // 2
-    batch = stack[:half]
+    shared.handoff.put(stack[:half])
     del stack[:half]
-    shared.inboxes[target].put(batch)
-    shared.bells[target].release()
-    return target
+    shared.bell.release()
+    return half
 
 
 def _add_one(counter) -> int:
@@ -136,12 +131,17 @@ def _request_stop(shared: SharedState, reason: StopReason = StopReason.EXHAUSTED
     """Wind the whole run down; the first request sets the stop word, and
     with it the stop reason, and wakes every idle worker."""
     with shared.finals.get_lock():
-        first = shared.stop.value == 0
-        if first:
+        if not shared.stop.value:
             shared.stop.value = 1 + _STOP_REASONS.index(reason)
-    if first:
-        for bell in shared.bells:
-            bell.release()
+            _halt(shared)
+
+
+def _halt(shared: SharedState) -> None:
+    """Set the stop word if it is 0 and ring the bell once per worker.  It takes
+    no lock, so the calling process can stop a run whose dead worker holds one."""
+    shared.stop.value = shared.stop.value or 1 + _STOP_REASONS.index(StopReason.EXHAUSTED)
+    for _ in range(shared.worker_count):
+        shared.bell.release()
 
 
 class SharedScheduler:
@@ -161,10 +161,8 @@ class SharedScheduler:
             redistribute(stack, shared)
             if stack:
                 return True
-            batch = _idle_wait(shared, self.worker)
-            if batch is None:
-                return False
-            stack.extend(batch)
+            # None means the run is over, and the stop word is set.
+            stack.extend(_idle_wait(shared) or ())
         return False
 
     @property
@@ -231,27 +229,26 @@ def _worker_main(
         # The parent raises once every message has arrived.
         _request_stop(shared)
     finally:
-        for q in shared.inboxes:
-            q.cancel_join_thread()
+        shared.handoff.cancel_join_thread()
         shared.results.put({"result": result, "error": error})
     if error is not None:
         sys.exit(1)
 
 
-def _idle_wait(shared: SharedState, worker: int):
-    """Mark this worker idle and sleep until its bell rings.  Returns the
-    received batch, or None when the run is over.  The worker that finds
-    every worker idle ends the run."""
+def _idle_wait(shared: SharedState):
+    """Add one to the idle count and sleep until the bell rings.  Returns a
+    batch from the hand-off queue, or None when the run is over.  The worker
+    whose step brings the count to the worker count ends the run."""
     with shared.coord_lock:
-        shared.status[worker] = _IDLE
-        last = all(s == _IDLE for s in shared.status)
+        shared.idle.value += 1
+        last = shared.idle.value == shared.worker_count
     if last:
         _request_stop(shared)
         return None
-    shared.bells[worker].acquire()
+    shared.bell.acquire()
     while not shared.stop.value:
         try:
-            return shared.inboxes[worker].get(timeout=0.1)
+            return shared.handoff.get(timeout=0.1)
         except queue.Empty:
             pass  # the batch is still in transit
     return None
@@ -295,28 +292,25 @@ def _run(net: Network, config: TraversalConfig, out_dir, search) -> tuple[Merged
 
 def _wait_for_workers(shared: SharedState, procs: list) -> list[RunSummary]:
     """Each worker's summary, once every worker has exited; a worker that
-    failed, died or hung raises ``EngineError``."""
+    failed, died or hung raises ``EngineError``.  Once one has died, the
+    others get 5 s to report and are then terminated."""
     messages = []
     failure = None
-    while len(messages) < len(procs):
+    deadline = float("inf")
+    while len(messages) < len(procs) and time.perf_counter() < deadline:
         try:
             messages.append(shared.results.get(timeout=0.1))
         except queue.Empty:
-            dead = [p for p in procs if p.exitcode not in (None, 0)]
-            if dead:
+            dead = [p.exitcode for p in procs if p.exitcode not in (None, 0)]
+            if dead and failure is None:
                 # A worker died without reporting; stop the others and fail.
-                failure = f"worker exited with code {dead[0].exitcode}"
-                _request_stop(shared)
-                deadline_join = time.perf_counter() + 5.0
-                while time.perf_counter() < deadline_join:
-                    try:
-                        messages.append(shared.results.get(timeout=0.1))
-                    except queue.Empty:
-                        if all(p.exitcode is not None for p in procs):
-                            break
+                failure = f"worker exited with code {dead[0]}"
+                _halt(shared)
+                deadline = time.perf_counter() + 5.0
+            elif failure and all(p.exitcode is not None for p in procs):
                 break
     for p in procs:
-        p.join(timeout=30.0)
+        p.join(timeout=0 if failure else 30.0)
         if p.is_alive():
             p.terminate()
             p.join()
@@ -353,8 +347,14 @@ def run_multi(
             )
             for w in range(workers)
         ]
-        for p in procs:
-            p.start()
+        try:
+            for p in procs:
+                p.start()
+        except BaseException:
+            # Wind down the workers already forked, so none outlives the run.
+            _halt(shared)
+            _wait_for_workers(shared, [p for p in procs if p.pid is not None])
+            raise
         return _wait_for_workers(shared, procs)
 
     return _run(net, config.traversal, out_dir, search)

@@ -1,3 +1,4 @@
+import ctypes
 import errno
 import json
 import multiprocessing
@@ -10,15 +11,14 @@ import threading
 import time
 from array import array
 from dataclasses import replace
+from multiprocessing.sharedctypes import SynchronizedArray
 from pathlib import Path
 
 import pytest
 
 from attackpaths import cli, engine, pathstore
 from attackpaths.engine import (
-    _IDLE,
     _STOP_REASONS,
-    _WORKING,
     EngineConfig,
     EngineError,
     SharedScheduler,
@@ -58,6 +58,16 @@ CTX = multiprocessing.get_context("fork")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def run_script(script: str, *args) -> subprocess.CompletedProcess:
+    """Run ``script`` with ``args`` in a fresh interpreter that imports this
+    package; a script that hangs fails the test at the timeout."""
+    src = Path(engine.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *map(str, args)], capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
 class TestPlanning:
     @pytest.mark.parametrize("procs,expected", [(1, 1), (2, 1), (3, 2), (8, 7)])
     def test_plan_workers(self, procs, expected):
@@ -80,19 +90,29 @@ class TestPlanning:
 class TestScheduler:
     """The coordination primitives, driven in-process."""
 
+    def test_shared_state_is_the_same_for_any_worker_count(self):
+        # Primitives only: no process or thread is started.
+        small, large = vars(SharedState(CTX, 2)), vars(SharedState(CTX, 16))
+        assert small.keys() == large.keys()
+        for name, value in large.items():
+            assert not isinstance(
+                value, (list, tuple, array, ctypes.Array, SynchronizedArray)
+            ), name
+
     def test_one_path_stack_is_not_split(self):
         shared = SharedState(CTX, 2)
-        shared.status[1] = _IDLE
+        shared.idle.value = 1
         stack = [0]
         assert redistribute(stack, shared) is None
         assert stack == [0]
-        assert shared.status[1] == _IDLE
-        assert not shared.bells[1].acquire(block=False)
+        assert shared.idle.value == 1
+        assert not shared.bell.acquire(block=False)
         # Two paths are the smallest stack that splits.
         stack.append(1)
         assert redistribute(stack, shared) == 1
         assert stack == [1]
-        assert shared.inboxes[1].get(timeout=2.0) == [0]
+        assert shared.idle.value == 0
+        assert shared.handoff.get(timeout=2.0) == [0]
 
     def test_redistribute_without_idle_worker(self):
         shared = SharedState(CTX, 2)
@@ -102,71 +122,83 @@ class TestScheduler:
 
     def test_redistribute_moves_bottom_half(self):
         shared = SharedState(CTX, 3)
-        shared.status[1] = _IDLE
-        shared.status[2] = _IDLE
+        shared.idle.value = 2
         stack = list(range(10))
-        target = redistribute(stack, shared)
-        # Lowest-numbered idle worker receives the bottom half.
-        assert target == 1
+        assert redistribute(stack, shared) == 5
         assert stack == [5, 6, 7, 8, 9]
-        assert shared.status[1] == _WORKING
-        assert shared.bells[1].acquire(block=False)
-        assert not shared.bells[2].acquire(block=False)
-        assert shared.inboxes[1].get(timeout=2.0) == [0, 1, 2, 3, 4]
+        # One transfer claims one idle worker and rings the bell once.
+        assert shared.idle.value == 1
+        assert shared.bell.acquire(block=False)
+        assert not shared.bell.acquire(block=False)
+        assert shared.handoff.get(timeout=2.0) == [0, 1, 2, 3, 4]
 
     def test_redistribute_odd_stack(self):
         shared = SharedState(CTX, 2)
-        shared.status[1] = _IDLE
+        shared.idle.value = 1
         stack = list(range(11))
-        assert redistribute(stack, shared) == 1
+        assert redistribute(stack, shared) == 5
         assert stack == [5, 6, 7, 8, 9, 10]
-        assert shared.inboxes[1].get(timeout=2.0) == [0, 1, 2, 3, 4]
+        assert shared.idle.value == 0
+        assert shared.bell.acquire(block=False)
+        assert shared.handoff.get(timeout=2.0) == [0, 1, 2, 3, 4]
 
     @staticmethod
-    def idle(shared, worker):
+    def idle(shared):
         """Run ``_idle_wait`` in a daemon thread, so a worker that is never
         woken fails the test instead of hanging it."""
         got = {}
         thread = threading.Thread(
-            target=lambda: got.setdefault("batch", _idle_wait(shared, worker)), daemon=True
+            target=lambda: got.setdefault("batch", _idle_wait(shared)), daemon=True
         )
         thread.start()
         return thread, got
 
     def test_last_idle_worker_ends_the_run(self):
         shared = SharedState(CTX, 2)
-        shared.status[1] = _IDLE
-        thread, got = self.idle(shared, 0)
+        shared.idle.value = 1
+        thread, got = self.idle(shared)
         thread.join(timeout=5.0)
         assert got == {"batch": None}
         assert SharedScheduler(shared, 0, 0.0).stop_reason is StopReason.EXHAUSTED
 
     def test_transfer_receiver_keeps_the_run_going(self):
-        # Worker 1 sleeps, worker 0 hands it work and goes idle: worker 1 is
-        # working, so worker 0 sleeps too, until worker 1 goes idle last.
+        # One worker sleeps, the other hands it work and goes idle: the
+        # receiver is working, so the giver sleeps too, until the receiver
+        # goes idle last.
         shared = SharedState(CTX, 2)
-        receiver, received = self.idle(shared, 1)
-        while shared.status[1] != _IDLE:
+        receiver, received = self.idle(shared)
+        while shared.idle.value != 1:
             time.sleep(0.001)
-        assert redistribute(list(range(4)), shared) == 1
+        assert redistribute(list(range(4)), shared) == 2
         receiver.join(timeout=5.0)
         assert received == {"batch": [0, 1]}
-        giver, woken = self.idle(shared, 0)
+        giver, woken = self.idle(shared)
         giver.join(timeout=0.2)
         assert giver.is_alive()
         assert shared.stop.value == 0
         assert SharedScheduler(shared, 0, 0.0).stop_reason is None
-        last, ended = self.idle(shared, 1)
+        last, ended = self.idle(shared)
         last.join(timeout=5.0)
         giver.join(timeout=5.0)
         assert ended == woken == {"batch": None}
         assert SharedScheduler(shared, 0, 0.0).stop_reason is StopReason.EXHAUSTED
 
+    def test_one_stop_wakes_every_sleeper(self):
+        shared = SharedState(CTX, 3)
+        sleepers = [self.idle(shared) for _ in range(2)]
+        while shared.idle.value != 2:
+            time.sleep(0.001)
+        _request_stop(shared, StopReason.TIME_LIMIT)
+        for thread, got in sleepers:
+            thread.join(timeout=5.0)
+            assert got == {"batch": None}
+        assert SharedScheduler(shared, 0, 0.0).stop_reason is StopReason.TIME_LIMIT
+
     def test_idle_wait_after_stop_returns_at_once(self):
         shared = SharedState(CTX, 2)
         _request_stop(shared, StopReason.MAX_PATHS)
         _request_stop(shared, StopReason.TIME_LIMIT)
-        thread, got = self.idle(shared, 0)
+        thread, got = self.idle(shared)
         thread.join(timeout=0.5)
         assert got == {"batch": None}
         assert shared.stop.value == 1 + _STOP_REASONS.index(StopReason.MAX_PATHS)
@@ -292,6 +324,30 @@ class TestMultiWorker:
         m = canonical_run(tmp_path / "m")
         assert canonical_run(tmp_path / "s") == m
         assert sum(m.values()) == 27
+
+    def test_an_idle_worker_gets_work(self, tmp_path, monkeypatch):
+        # Each worker's first stack that can be split waits until a worker
+        # sits idle.  Worker 1 starts empty and goes idle, so worker 0 has to
+        # hand it paths, and some of them end up in worker 1's files.
+        waited = []
+
+        def when_someone_idles(stack, shared):
+            if len(stack) >= 2 and not waited:
+                waited.append(True)
+                deadline = time.perf_counter() + 5.0
+                while not shared.idle.value and time.perf_counter() < deadline:
+                    time.sleep(0.001)
+            return redistribute(stack, shared)
+
+        monkeypatch.setattr(engine, "redistribute", when_someone_idles)
+        net = generate_model(SyntheticSpec("layered", width=3, depth=3))
+        cfg = TraversalConfig(*start_and_end(net))
+        run_single(net, cfg, tmp_path / "s")
+        run_multi(net, EngineConfig(cfg, worker_count=2), tmp_path / "m")
+        workers, offsets = pathstore.read_offsets(tmp_path / "m")
+        assert workers == [0, 1]
+        assert offsets[1] < merged_file(tmp_path / "m", FINAL_PATHS_TITLE).stat().st_size
+        assert canonical_run(tmp_path / "s") == canonical_run(tmp_path / "m")
 
     def test_random_models_match_single(self, tmp_path):
         for seed in range(10):
@@ -515,6 +571,92 @@ class TestFailures:
         assert time.perf_counter() - started < 5.0
         assert list(tmp_path.glob("*.tmp")) == []
 
+    @pytest.mark.parametrize("lock", ["finals", "coord"])
+    def test_worker_dead_holding_a_lock_fails_the_run(self, lock, tmp_path):
+        # A worker that has given work away dies at a final path once the
+        # receiver has stored one of that batch, holding the final-count lock
+        # or the coordination lock, so the receiver waits on that lock for
+        # good at its next final path or idle step.  The calling process must
+        # stop the run without the lock and terminate the receiver.
+        script = """
+            import os, sys, time
+            from attackpaths import engine
+            from attackpaths.engine import EngineConfig, EngineError, run_multi
+            from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
+            from attackpaths.traversal import TraversalConfig
+
+            redistribute, note_final = engine.redistribute, engine.SharedScheduler.note_final
+            # gave: per transfer, how many paths the other workers had stored by then.
+            gave, stored = [], []
+
+            def giving(stack, shared):
+                moved = redistribute(stack, shared)
+                if moved:
+                    gave.append(shared.finals.value - len(stored))
+                return moved
+
+            def dying(scheduler):
+                shared = scheduler.shared
+                lock = shared.finals.get_lock() if sys.argv[1] == "finals" else shared.coord_lock
+                if gave and shared.finals.value - len(stored) > gave[-1]:
+                    lock.acquire()
+                    os._exit(3)
+                with lock:
+                    pass
+                stored.append(1)
+                return note_final(scheduler)
+
+            engine.redistribute, engine.SharedScheduler.note_final = giving, dying
+            net = generate_model(SyntheticSpec("layered", width=4, depth=4))
+            cfg = TraversalConfig(*start_and_end(net))
+            started = time.perf_counter()
+            try:
+                run_multi(net, EngineConfig(cfg, worker_count=2), sys.argv[2])
+            except EngineError as e:
+                print(f"{time.perf_counter() - started:.2f}", e)
+        """
+        proc = run_script(script, lock, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        seconds, message = proc.stdout.split(" ", 1)
+        assert "code 3" in message
+        assert float(seconds) < 10.0
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_fork_leaves_no_worker_behind(self, tmp_path):
+        # The second fork fails: the first worker is stopped and joined, the
+        # run is cleared and the error is raised, so the process can exit.
+        script = """
+            import errno, json, multiprocessing, os, sys
+            from multiprocessing.context import ForkProcess
+            from attackpaths import EngineConfig, run_multi
+            from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
+            from attackpaths.traversal import TraversalConfig
+
+            forks = []
+            real_start = ForkProcess.start
+
+            def start(process):
+                forks.append(process)
+                if len(forks) == 2:
+                    raise OSError(errno.EAGAIN, "fork refused")
+                real_start(process)
+
+            ForkProcess.start = start
+            net = generate_model(SyntheticSpec("layered", width=5, depth=5))
+            cfg = TraversalConfig(*start_and_end(net))
+            try:
+                run_multi(net, EngineConfig(cfg, worker_count=2), sys.argv[1])
+            except OSError as e:
+                print(json.dumps({
+                    "errno": e.errno,
+                    "children": len(multiprocessing.active_children()),
+                    "files": os.listdir(sys.argv[1]),
+                }))
+        """
+        proc = run_script(script, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"errno": errno.EAGAIN, "children": 0, "files": []}
+
     def test_unwritable_out_dir(self, tmp_path):
         blocked = tmp_path / "file"
         blocked.write_text("x")
@@ -639,7 +781,7 @@ class TestBoundary:
         # The child caps the size of any file it writes (RLIMIT_FSIZE) and
         # ignores SIGXFSZ, so a write past the cap fails with EFBIG.  Which
         # step hits it first depends on scheduling.
-        script = textwrap.dedent("""
+        script = """
             import json, resource, signal, sys
             from attackpaths import EngineConfig, EngineError, run_multi, run_single
             from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
@@ -660,13 +802,9 @@ class TestBoundary:
                 except (OSError, EngineError) as e:
                     raised[mode] = type(e).__name__
             print(json.dumps(raised))
-        """)
+        """
         dirs = [tmp_path / "single", tmp_path / "multi"]
-        src = Path(engine.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *map(str, dirs)], capture_output=True, text=True,
-            timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        proc = run_script(script, *dirs)
         assert proc.returncode == 0, proc.stderr
         raised = json.loads(proc.stdout)
         assert raised["single"] == "OSError"
