@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import signal
 import sys
 from collections import Counter
 from pathlib import Path
@@ -325,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop a run as Ctrl-C does
     try:
         return args.fn(args)
     except (CliError, engine.EngineError, pathstore.FormatError, OSError) as e:

@@ -23,7 +23,10 @@ then clears the directory, and whatever fails after that clears it again
 (``pathstore.clear_run``).  Each worker appends its finalized paths to its
 own file set and then writes its sort files.  The calling process folds the
 workers' summaries into one, merges the final-path and index files and
-commits the run by writing that summary.
+commits the run by writing that summary.  However a multi-worker run ends,
+``KeyboardInterrupt`` included, one ``finally`` stops it without a lock,
+gives the workers 5 s to exit and terminates the rest before the directory
+is merged or cleared.  A worker stops the run once its caller has died.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
+import signal
 import sys
 import time
 import traceback
@@ -88,10 +92,12 @@ class SharedState:
     """The primitives all workers of one run share, the same few for any
     worker count: ``idle`` counts the idle workers no transfer has claimed
     (under ``coord_lock``), each transfer puts one batch on ``handoff`` and
-    rings ``bell``, and ``_request_stop`` writes the stop word ``stop`` once."""
+    rings ``bell``, and ``_request_stop`` writes the stop word ``stop`` once.
+    ``caller`` is the pid of the process that forks the workers."""
 
     def __init__(self, ctx, worker_count: int):
         self.worker_count = worker_count
+        self.caller = os.getpid()
         self.coord_lock = ctx.Lock()
         self.idle = ctx.Value("i", 0, lock=False)
         self.stop = ctx.Value("i", 0, lock=False)
@@ -147,7 +153,8 @@ def _halt(shared: SharedState) -> None:
 class SharedScheduler:
     """Scheduling for worker ``worker`` of a multi-worker run: the counts and
     the stop flag are shared by all workers, a stack that can be split gives
-    half away to an idle worker, and an empty one waits for a transfer."""
+    half away to an idle worker, and an empty one waits for a transfer.  The
+    run stops once the calling process has died."""
 
     def __init__(self, shared: SharedState, worker: int, started: float):
         self.shared = shared
@@ -157,6 +164,8 @@ class SharedScheduler:
 
     def keep_going(self, stack: list) -> bool:
         shared = self.shared
+        if os.getppid() != shared.caller:
+            _request_stop(shared)  # the caller died: no one will read this run
         while not shared.stop.value:
             redistribute(stack, shared)
             if stack:
@@ -217,6 +226,8 @@ def _worker_main(
     started: float,
     progress: bool,
 ) -> None:
+    # terminate() must kill a worker even on a dead worker's lock: drop the CLI's handler.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     result = error = None
     try:
         result = _search_to_files(
@@ -291,38 +302,22 @@ def _run(net: Network, config: TraversalConfig, out_dir, search) -> tuple[Merged
 
 
 def _wait_for_workers(shared: SharedState, procs: list) -> list[RunSummary]:
-    """Each worker's summary, once every worker has exited; a worker that
-    failed, died or hung raises ``EngineError``.  Once one has died, the
-    others get 5 s to report and are then terminated."""
+    """Each worker's summary, once every worker has reported.  A reported
+    traceback raises ``EngineError`` naming it; a worker that died without
+    reporting raises one naming its exit code, once what is queued is read."""
     messages = []
-    failure = None
-    deadline = float("inf")
-    while len(messages) < len(procs) and time.perf_counter() < deadline:
+    while len(messages) < len(procs):
+        dead = [p.exitcode for p in procs if p.exitcode not in (None, 0)]
         try:
-            messages.append(shared.results.get(timeout=0.1))
+            messages.append(shared.results.get(timeout=0 if dead else 0.1))
         except queue.Empty:
-            dead = [p.exitcode for p in procs if p.exitcode not in (None, 0)]
-            if dead and failure is None:
-                # A worker died without reporting; stop the others and fail.
-                failure = f"worker exited with code {dead[0]}"
-                _halt(shared)
-                deadline = time.perf_counter() + 5.0
-            elif failure and all(p.exitcode is not None for p in procs):
+            if dead:
                 break
-    for p in procs:
-        p.join(timeout=0 if failure else 30.0)
-        if p.is_alive():
-            p.terminate()
-            p.join()
-            failure = failure or "worker failed to exit"
-
-    errors = [m["error"] for m in messages if m["error"]]
-    if errors:
-        failure = errors[0]
-    if failure is None and any(p.exitcode != 0 for p in procs):
-        failure = f"worker exit codes {[p.exitcode for p in procs]}"
-    if failure is not None:
-        raise EngineError(f"run failed: {failure}")
+    for m in messages:
+        if m["error"]:
+            raise EngineError(f"run failed: {m['error']}")
+    if len(messages) < len(procs):
+        raise EngineError(f"run failed: worker exited with code {dead[0]}")
     return [m["result"] for m in messages]
 
 
@@ -340,22 +335,24 @@ def run_multi(
         ctx = multiprocessing.get_context("fork")
         shared = SharedState(ctx, workers)
         started = time.perf_counter()
-        procs = [
-            ctx.Process(
-                target=_worker_main,
-                args=(w, net, config, str(out_path), shared, started, progress),
-            )
-            for w in range(workers)
-        ]
+        procs = []
         try:
-            for p in procs:
+            for w in range(workers):
+                p = ctx.Process(
+                    target=_worker_main,
+                    args=(w, net, config, str(out_path), shared, started, progress),
+                )
                 p.start()
-        except BaseException:
-            # Wind down the workers already forked, so none outlives the run.
+                procs.append(p)
+            return _wait_for_workers(shared, procs)
+        finally:
+            # However the run ends, the workers share a 5 s grace, then are terminated.
             _halt(shared)
-            _wait_for_workers(shared, [p for p in procs if p.pid is not None])
-            raise
-        return _wait_for_workers(shared, procs)
+            grace_end = time.perf_counter() + 5.0
+            for p in procs:
+                p.join(max(0.0, grace_end - time.perf_counter()))
+                p.terminate()
+                p.join()
 
     return _run(net, config.traversal, out_dir, search)
 

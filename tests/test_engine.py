@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -38,6 +39,7 @@ from attackpaths.model import (
     ModelValidationError,
     Network,
     NormalRule,
+    dump_network,
     load_network_file,
 )
 from attackpaths.pathstore import FINAL_PATHS_TITLE, INDEX_TITLE, merged_file, worker_file
@@ -56,15 +58,22 @@ from support import action_model, canonical_run, layered_run, random_model
 
 CTX = multiprocessing.get_context("fork")
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(engine.__file__).resolve().parents[1]
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_the_test():
+    """A test that leaves a worker process behind fails, not a later one."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def run_script(script: str, *args) -> subprocess.CompletedProcess:
     """Run ``script`` with ``args`` in a fresh interpreter that imports this
     package; a script that hangs fails the test at the timeout."""
-    src = Path(engine.__file__).resolve().parents[1]
     return subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script), *map(str, args)], capture_output=True,
-        text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
 
 
@@ -211,6 +220,8 @@ class TestScheduler:
         start, end = start_and_end(net)
         cfg = TraversalConfig(start=start, end=end, stop_max_final_paths=3)
         shared = SharedState(CTX, 1)
+        # This process plays a forked worker, whose caller is its parent.
+        shared.caller = os.getppid()
         scheduler = SharedScheduler(shared, 0, time.perf_counter())
         summary = search_loop(net, cfg, scheduler, lambda path: None)
         assert summary.total_final_paths == shared.finals.value == 3
@@ -622,6 +633,44 @@ class TestFailures:
         assert float(seconds) < 10.0
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_terminate_stops_a_worker_under_the_cli_sigterm_handler(self, tmp_path):
+        # With the CLI's SIGTERM handler inherited, terminate() would raise
+        # KeyboardInterrupt in worker 1, which waits on the lock that dead
+        # worker 0 holds, and its stop request would wait on it for good.
+        script = """
+            import os, signal, sys, time
+            from attackpaths import engine
+            from attackpaths.engine import EngineConfig, EngineError, run_multi
+            from attackpaths.synth import SyntheticSpec, generate_model, start_and_end
+            from attackpaths.traversal import TraversalConfig
+
+            def stuck(net, config, scheduler, *rest):
+                lock = scheduler.shared.finals.get_lock()
+                if scheduler.worker == 0:
+                    lock.acquire()
+                    os._exit(3)
+                while lock.acquire(block=False):  # until worker 0 holds it
+                    lock.release()
+                    time.sleep(0.01)
+                lock.acquire()
+
+            signal.signal(signal.SIGTERM, signal.default_int_handler)  # as cli.main does
+            engine._search_to_files = stuck
+            net = generate_model(SyntheticSpec("layered", width=2, depth=2))
+            started = time.perf_counter()
+            try:
+                run_multi(net, EngineConfig(TraversalConfig(*start_and_end(net)), worker_count=2),
+                          sys.argv[1])
+            except EngineError as e:
+                print(f"{time.perf_counter() - started:.2f}", e)
+        """
+        proc = run_script(script, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        seconds, message = proc.stdout.split(" ", 1)
+        assert "code 3" in message
+        assert float(seconds) < 10.0
+        assert os.listdir(tmp_path) == []
+
     def test_failed_fork_leaves_no_worker_behind(self, tmp_path):
         # The second fork fails: the first worker is stopped and joined, the
         # run is cleared and the error is raised, so the process can exit.
@@ -719,6 +768,74 @@ def bad_input(case):
                          TraversalError,
                          "filter atom 'visited_C2' is not bound to a fact of end container 3"),
     }[case]
+
+
+def process_states() -> dict[int, tuple[str, int]]:
+    """Each process's state letter and parent pid, by pid, read from /proc."""
+    states = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except OSError:
+            continue  # it exited while we looked
+        states[int(stat.parent.name)] = (state, int(ppid))
+    return states
+
+
+def running(pids) -> set[int]:
+    states = process_states()
+    return {pid for pid in pids if pid in states and states[pid][0] != "Z"}
+
+
+def dir_bytes(directory: Path) -> int:
+    return sum(f.stat().st_size for f in directory.iterdir())
+
+
+class TestCallerSignals:
+    """``attackpaths run --mode multi`` with 2 workers on layered(8,6), a run
+    of many seconds, gets a signal about 2 s in.  The caller leads a session
+    of its own, and its process group is killed whatever the outcome, so a
+    failing case leaves nothing running."""
+
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM, signal.SIGKILL],
+                             ids=["SIGINT", "SIGTERM", "SIGKILL"])
+    def test_no_worker_outlives_a_signalled_caller(self, sig, tmp_path):
+        net = generate_model(SyntheticSpec("layered", width=8, depth=6))
+        model, out = tmp_path / "model.json", tmp_path / "run"
+        model.write_text(dump_network(net))
+        start, end = start_and_end(net)
+        caller = subprocess.Popen(
+            [sys.executable, "-m", "attackpaths", "run", "--model", model, "--start",
+             str(start), "--end", str(end), "--mode", "multi", "--workers", "2", "--out", out],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            workers = set()
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = {pid for pid, (_, ppid) in process_states().items() if ppid == caller.pid}
+            assert len(workers) == 2
+            time.sleep(2.0)
+            assert caller.poll() is None, "the run ended before the signal"
+            os.kill(caller.pid, sig)
+            signalled = time.monotonic()
+            if sig != signal.SIGKILL:
+                caller.wait(timeout=5.0)
+                assert os.listdir(out) == []
+            while running(workers) and time.monotonic() < signalled + 5.0:
+                time.sleep(0.05)
+            assert running(workers) == set()
+            size = dir_bytes(out)
+            time.sleep(0.5)
+            assert dir_bytes(out) == size
+        finally:
+            try:
+                os.killpg(caller.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            caller.wait()
 
 
 def start_run(mode, net, cfg, out_dir):
