@@ -6,6 +6,8 @@ constants derive; a partial trailing record raises ``FormatError`` naming the fi
 Path records are variable-width: ``decode_path`` decodes one from a buffer
 into named tuples; each ``MergedStore`` interns entity records and environment
 fact lists by their bytes (``_INTERN_LIMIT`` in all), so its records may share them.
+It keeps connection bodies, a connection's bytes after its ID, in a table of their
+own (``_BODY_LIMIT``): a connection whose body was decoded before takes its fields.
 The search is depth-first, so consecutive records often begin with the same
 connections, byte for byte; one pass or one query decodes each such run once
 and shares its ``ConnectionRecord``s, matched by their bytes.  A store reads by
@@ -69,6 +71,8 @@ from .traversal import EntityRecord, RunSummary, TraversalPath
 _I32 = struct.Struct("<i")
 _I64 = struct.Struct("<q")
 _PAIR = struct.Struct("<ii")
+# A connection's ID and its first slot's header.
+_HEAD = struct.Struct("<iii")
 _FACT = struct.Struct("<iB")
 # A fact's value byte indexes this pair; any byte but 0 or 1 raises IndexError.
 _BOOLS = (False, True)
@@ -81,6 +85,8 @@ _FIRST_READ = 1 << 12
 _HELD_LIMIT = 1 << 20
 # Entity records and fact lists a store shares by their bytes; never evicted.
 _INTERN_LIMIT = 4096
+# Connection bodies a store shares by their bytes, counted apart from those; never evicted.
+_BODY_LIMIT = 1024
 _new = tuple.__new__  # builds a record without the named tuple's Python-level __new__
 
 FACT_RECORD_SIZE = _FACT.size
@@ -306,12 +312,33 @@ def _shared_facts(buf, pos: int, n: int, seen: dict, owner: str, ident: int):
     return facts
 
 
-def decode_path(buf, pos: int, seen: dict, prefix: list) -> tuple[PathRecord, int]:
+def _entity(buf, pos: int, ident: int, n: int, seen: dict) -> Optional[EntityRecord]:
+    """The entity slot at ``buf[pos]`` whose header reads ``ident, n``: None for the -1
+    marker, else its record, shared through ``seen`` by the entity's bytes."""
+    if ident < 0:
+        if ident != -1:
+            raise FormatError(f"invalid entity marker {ident}")
+        return None
+    end = pos + 8 + n * FACT_RECORD_SIZE
+    key = buf[pos:end]
+    entity = seen.get(key) if end <= len(buf) else None
+    if entity is None:
+        entity = _new(EntityRecord, (ident, _facts(buf, pos + 8, n, "entity", ident)))
+        if len(seen) < _INTERN_LIMIT:
+            seen[key] = entity
+    return entity
+
+
+def decode_path(buf, pos: int, seen: dict, bodies: dict, prefix: list) -> tuple[PathRecord, int]:
     """The path record at byte ``pos`` of ``buf`` and the offset past it.
     ``seen`` maps the bytes of an entity, or of a non-empty fact list from its
     count on, to the value shared in place of decoding them.  Only whole
     extents are looked up, so a cut one never matches; new values join while
     it holds fewer than ``_INTERN_LIMIT``.
+    ``bodies`` maps a connection body, its bytes after the ID, to a record whose four
+    fields a connection with that body takes.  The body's end is found from its slot
+    headers and change count, which a miss decodes from; new bodies join while it
+    holds fewer than ``_BODY_LIMIT``.
     ``prefix`` holds a ``(bytes, ConnectionRecord)`` pair per connection of
     the record decoded before: leading connections whose bytes equal its
     entries' share their records, and the list is rewritten for this one."""
@@ -329,30 +356,36 @@ def decode_path(buf, pos: int, seen: dict, prefix: list) -> tuple[PathRecord, in
         del prefix[len(conns):]
         for _ in range(count - len(conns)):
             start = pos
-            (cid,) = _I32.unpack_from(buf, pos)
-            pos += 4
-            fields = [cid]
-            for _ in range(3):
-                ident, n = _PAIR.unpack_from(buf, pos)
-                if ident < 0:
-                    if ident != -1:
-                        raise FormatError(f"invalid entity marker {ident}")
-                    fields.append(None)
-                    pos += 4
-                    continue
-                end = pos + 8 + n * FACT_RECORD_SIZE
-                key = buf[pos:end]
-                entity = seen.get(key) if end <= len(buf) else None
-                if entity is None:
-                    entity = _new(EntityRecord, (ident, _facts(buf, pos + 8, n, "entity", ident)))
-                    if len(seen) < _INTERN_LIMIT:
-                        seen[key] = entity
-                fields.append(entity)
-                pos = end
-            (n,) = _I32.unpack_from(buf, pos)
-            fields.append(_shared_facts(buf, pos, n, seen, "connection", cid) if n else ())
-            pos += 4 + n * FACT_RECORD_SIZE
-            conn = _new(ConnectionRecord, fields)
+            try:  # The slot headers and change count, to find where the body ends.
+                cid, i1, n1 = _HEAD.unpack_from(buf, pos)
+                p2 = pos + (8 if i1 < 0 else 12 + n1 * FACT_RECORD_SIZE)
+                i2, n2 = _PAIR.unpack_from(buf, p2)
+                p3 = p2 + (4 if i2 < 0 else 8 + n2 * FACT_RECORD_SIZE)
+                i3, n3 = _PAIR.unpack_from(buf, p3)
+                pos = p3 + (4 if i3 < 0 else 8 + n3 * FACT_RECORD_SIZE)
+                (m,) = _I32.unpack_from(buf, pos)
+            except struct.error:
+                # It ran off the bytes: slot by slot, a bad slot raises before that read does.
+                pos = start + 4
+                for _ in range(3):
+                    ident, n = _PAIR.unpack_from(buf, pos)
+                    _entity(buf, pos, ident, n, seen)
+                    pos += 4 if ident < 0 else 8 + n * FACT_RECORD_SIZE
+                raise
+            end = pos + 4 + m * FACT_RECORD_SIZE
+            body = buf[start + 4:end]
+            conn = bodies.get(body)
+            if conn is not None:
+                conn = _new(ConnectionRecord, (cid,) + conn[1:])
+            else:
+                # Each slot is checked before the next header is used.
+                conn = _new(ConnectionRecord, (
+                    cid, _entity(buf, start + 4, i1, n1, seen), _entity(buf, p2, i2, n2, seen),
+                    _entity(buf, p3, i3, n3, seen),
+                    _shared_facts(buf, pos, m, seen, "connection", cid) if m else ()))
+                if len(bodies) < _BODY_LIMIT:
+                    bodies[body] = conn
+            pos = end
             conns.append(conn)
             prefix.append((buf[start:pos], conn))
         (n,) = _I32.unpack_from(buf, pos)
@@ -406,13 +439,13 @@ def _index_count(index: Path) -> int:
     return _record_count(index.stat().st_size, _I64, index.name)
 
 
-def _decode_at(fd: int, buf: bytes, pos: int, seen: dict, prefix: list,
+def _decode_at(fd: int, buf: bytes, pos: int, seen: dict, bodies: dict, prefix: list,
                at: Optional[int] = None) -> tuple[PathRecord, bytes, int]:
     """``decode_path`` at ``buf[pos:]``, read on from ``fd`` (at its offset, or by ``os.pread``
     for a record at file offset ``at``) while it runs past ``buf``; returns record, buffer, end."""
     while True:
         try:
-            record, end = decode_path(buf, pos, seen, prefix)
+            record, end = decode_path(buf, pos, seen, bodies, prefix)
             return record, buf, end
         except _Truncated:
             # The bytes held at least double, so a long record is retried few times.
@@ -567,6 +600,9 @@ class MergedStore:
         self._sorted = {key: merged_file(self.directory, key.title) for key in SortKey}
         # Entity or fact-list bytes -> value, shared by every path read (``decode_path``).
         self._entities: dict[bytes, tuple] = {}
+        # Connection body bytes -> a record holding its fields.  Apart from ``_entities``, as
+        # a malformed body's or fact list's bytes may equal a stored value of the other kind.
+        self._bodies: dict[bytes, ConnectionRecord] = {}
         # Position -> (record bytes, record) per path ``read_path_at`` decoded.
         self._held: dict[int, tuple[bytes, PathRecord]] = {}
         self._held_bytes = 0
@@ -593,7 +629,7 @@ class MergedStore:
                 del self._held[pos]
                 self._held_bytes -= len(extent)
             buf = os.pread(fd, max(_FIRST_READ, len(extent)), pos)
-            record, buf, end = _decode_at(fd, buf, 0, self._entities, prefix, at=pos)
+            record, buf, end = _decode_at(fd, buf, 0, self._entities, self._bodies, prefix, at=pos)
         except FormatError as e:
             raise FormatError(f"{FINAL_PATHS_TITLE}, path at byte {pos}: {e}") from None
         finally:
@@ -613,7 +649,8 @@ class MergedStore:
             buf, pos = fh.read(_READ_BLOCK), 0
             for n in range(count):
                 try:
-                    record, buf, pos = _decode_at(fh.fileno(), buf, pos, self._entities, prefix)
+                    record, buf, pos = _decode_at(
+                        fh.fileno(), buf, pos, self._entities, self._bodies, prefix)
                 except FormatError as e:
                     raise FormatError(f"{FINAL_PATHS_TITLE}, record {n}: {e}") from None
                 yield record

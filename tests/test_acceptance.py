@@ -158,7 +158,7 @@ def test_criterion_4_binary_round_trip(tmp_path):
         records = [random_record(rng) for _ in range(1000)]
         for record in records:
             buf = encode_path(record)
-            assert decode_path(buf, 0, {}, []) == (record, len(buf))
+            assert decode_path(buf, 0, {}, {}, []) == (record, len(buf))
 
         subset = records[:200]
         writer = PathWriter(tmp_path, 0)

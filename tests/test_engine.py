@@ -70,11 +70,22 @@ def no_worker_outlives_the_test():
 
 def run_script(script: str, *args) -> subprocess.CompletedProcess:
     """Run ``script`` with ``args`` in a fresh interpreter that imports this
-    package; a script that hangs fails the test at the timeout."""
-    return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script), *map(str, args)], capture_output=True,
-        text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
+    package; a script that hangs fails the test at the timeout.  The script
+    leads a session of its own, and its process group is killed whatever the
+    outcome, so no worker it forked outlives the test."""
+    with subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(script), *map(str, args)], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=120)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 class TestPlanning:

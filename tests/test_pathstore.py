@@ -183,14 +183,14 @@ class TestRoundTrip:
     @given(path_st)
     def test_codec_identity(self, record):
         buf = encode_path(record)
-        assert decode_path(buf, 0, {}, []) == (record, len(buf))
+        assert decode_path(buf, 0, {}, {}, []) == (record, len(buf))
 
     def test_seeded_sample(self):
         rng = random.Random(7)
         for _ in range(300):
             record = random_record(rng)
             buf = encode_path(record)
-            assert decode_path(buf, 0, {}, []) == (record, len(buf))
+            assert decode_path(buf, 0, {}, {}, []) == (record, len(buf))
 
     def test_writer_reader_cycle(self, tmp_path):
         rng = random.Random(11)
@@ -210,54 +210,93 @@ class TestRoundTrip:
 def path_with_entity(entity: bytes) -> bytes:
     """Path 1 holding one connection (ID 2) whose start entity is the raw
     ``entity`` bytes; its link and end are absent, with no facts anywhere."""
-    return i32.pack(1) + i32.pack(1) + i32.pack(2) + entity + i32.pack(-1) * 2 + i32.pack(0) * 2
+    return path_with_slots(entity, i32.pack(-1), i32.pack(-1))
+
+
+def path_with_slots(*slots: bytes) -> bytes:
+    """``path_with_entity`` with the raw bytes of all three slots."""
+    return i32.pack(1) + i32.pack(1) + i32.pack(2) + b"".join(slots) + i32.pack(0) * 2
+
+
+GOOD_SLOT = encode_entity(EntityRecord(7, ((8, True), (9, False))))
+# An entity header whose facts run past any record here.
+LONG_SLOT = i32.pack(7) + i32.pack(10**6)
+
+
+def bad_slot_cases(bad: bytes) -> list[bytes]:
+    """Paths whose start, link or end slot holds ``bad`` after good slots, and
+    paths where ``bad`` comes before a slot that runs past the bytes."""
+    return [path_with_slots(*(bad if i == at else GOOD_SLOT for i in range(3))) for at in range(3)] + [
+        path_with_slots(bad, LONG_SLOT, GOOD_SLOT), path_with_slots(GOOD_SLOT, bad, LONG_SLOT)]
+
+
+def warm_tables() -> tuple[dict, dict]:
+    """Entity and body tables that hold ``GOOD_SLOT`` and a body of three of them."""
+    seen, bodies = {}, {}
+    decode_path(path_with_slots(GOOD_SLOT, GOOD_SLOT, GOOD_SLOT), 0, seen, bodies, [])
+    assert len(seen) == len(bodies) == 1
+    return seen, bodies
 
 
 class TestDecodeErrors:
     def test_truncated(self):
         buf = encode_path(PathRecord(1, (ConnectionRecord(2, EntityRecord(3, ((4, True),)), None, None),)))
         with pytest.raises(FormatError, match="truncated"):
-            decode_path(buf[:-1], 0, {}, [])
+            decode_path(buf[:-1], 0, {}, {}, [])
 
     def test_bad_value_byte(self):
         def facts(second: bytes) -> bytes:
             return path_with_entity(i32.pack(3) + i32.pack(2) + i32.pack(8) + b"\x01" + i32.pack(9) + second)
 
-        assert decode_path(facts(b"\x00"), 0, {}, [])[0] == PathRecord(
+        assert decode_path(facts(b"\x00"), 0, {}, {}, [])[0] == PathRecord(
             1, (ConnectionRecord(2, EntityRecord(3, ((8, True), (9, False))), None, None),)
         )
         with pytest.raises(FormatError, match="fact 9: value byte 2"):
-            decode_path(facts(b"\x02"), 0, {}, [])
+            decode_path(facts(b"\x02"), 0, {}, {}, [])
 
     def test_negative_fact_count(self):
         with pytest.raises(FormatError, match="entity 3: negative fact count"):
-            decode_path(path_with_entity(i32.pack(3) + i32.pack(-2)), 0, {}, [])
+            decode_path(path_with_entity(i32.pack(3) + i32.pack(-2)), 0, {}, {}, [])
+        # A count below zero points the walk to a body's end back into the record, or far
+        # enough back that it runs off the bytes; the slot still raises first.
+        for n in (-2, -2**31):
+            for buf in bad_slot_cases(i32.pack(3) + i32.pack(n)):
+                for tables in (({}, {}), warm_tables()):
+                    with pytest.raises(FormatError, match="entity 3: negative fact count"):
+                        decode_path(buf, 0, *tables, [])
 
     def test_negative_connection_count(self):
         with pytest.raises(FormatError, match="negative connection count"):
-            decode_path(i32.pack(1) + i32.pack(-1), 0, {}, [])
+            decode_path(i32.pack(1) + i32.pack(-1), 0, {}, {}, [])
 
     def test_invalid_entity_marker(self):
         with pytest.raises(FormatError, match="invalid entity marker"):
-            decode_path(path_with_entity(i32.pack(-5)), 0, {}, [])
+            decode_path(path_with_entity(i32.pack(-5)), 0, {}, {}, [])
+        # The marker does not send the walk astray, so the end slot's header is read;
+        # its negative count must not raise first.
+        before_a_bad_end = path_with_slots(i32.pack(-5), GOOD_SLOT, i32.pack(3) + i32.pack(-2))
+        for buf in bad_slot_cases(i32.pack(-5)) + [before_a_bad_end]:
+            for tables in (({}, {}), warm_tables()):
+                with pytest.raises(FormatError, match="invalid entity marker"):
+                    decode_path(buf, 0, *tables, [])
 
     def test_truncated_entity_does_not_match_an_interned_one(self):
         entity = encode_entity(EntityRecord(3, ((8, True), (9, False))))
         whole = path_with_entity(entity)
-        seen = {}
-        decode_path(whole, 0, seen, [])
+        seen, bodies = {}, {}
+        decode_path(whole, 0, seen, bodies, [])
         assert list(seen) == [entity]
         # Path ID, connection count and connection ID come first.
         for cut in (12 + len(entity) - 1, 12 + MIN_ENTITY_SIZE):
             with pytest.raises(FormatError, match="truncated"):
-                decode_path(whole[:cut], 0, seen, [])
+                decode_path(whole[:cut], 0, seen, bodies, [])
 
     def test_every_cut_in_an_interned_fact_list_is_truncated(self):
         conn = ConnectionRecord(2, EntityRecord(3, ((4, True),)), None, None, ((5, True), (6, False)))
         record = PathRecord(1, (conn,), ((7, True), (8, False), (9, True)))
         whole = encode_path(record)
-        seen, prefix = {}, []
-        assert decode_path(whole, 0, seen, prefix) == (record, len(whole))
+        seen, bodies, prefix = {}, {}, []
+        assert decode_path(whole, 0, seen, bodies, prefix) == (record, len(whole))
         interned = dict(seen)
         assert fact_list_bytes(conn.env_facts) in seen and fact_list_bytes(record.env_facts) in seen
         env_at = len(whole) - len(fact_list_bytes(record.env_facts))
@@ -265,7 +304,7 @@ class TestDecodeErrors:
         for cut in range(changes_at, len(whole)):
             for shared in ([], list(prefix)):
                 with pytest.raises(FormatError, match="truncated"):
-                    decode_path(whole[:cut], 0, seen, shared)
+                    decode_path(whole[:cut], 0, seen, bodies, shared)
         assert seen == interned
 
     def test_a_cut_entity_does_not_match_an_interned_fact_list(self):
@@ -273,30 +312,30 @@ class TestDecodeErrors:
         entity = EntityRecord(1, ((1, True), (2, False), (3, True)))
         # The entity's first 9 bytes are those of the whole fact list.
         assert encode_entity(entity).startswith(fact_list_bytes(facts))
-        seen = {}
-        decode_path(encode_path(PathRecord(1, (), facts)), 0, seen, [])
+        seen, bodies = {}, {}
+        decode_path(encode_path(PathRecord(1, (), facts)), 0, seen, bodies, [])
         assert list(seen) == [fact_list_bytes(facts)]
         cut = path_with_entity(encode_entity(entity))[:12 + len(fact_list_bytes(facts))]
         with pytest.raises(FormatError, match="truncated"):
-            decode_path(cut, 0, seen, [])
+            decode_path(cut, 0, seen, bodies, [])
 
     def test_a_cut_fact_list_does_not_match_an_interned_entity(self):
         facts = ((1, True), (0, False))
         entity = EntityRecord(2, ((1, False),))
         # The fact list's first 13 bytes are those of the whole entity.
         assert fact_list_bytes(facts).startswith(encode_entity(entity))
-        seen = {}
-        decode_path(path_with_entity(encode_entity(entity)), 0, seen, [])
+        seen, bodies = {}, {}
+        decode_path(path_with_entity(encode_entity(entity)), 0, seen, bodies, [])
         assert list(seen) == [encode_entity(entity)]
         cut = encode_path(PathRecord(1, (), facts))[:8 + len(encode_entity(entity))]
         with pytest.raises(FormatError, match="truncated"):
-            decode_path(cut, 0, seen, [])
+            decode_path(cut, 0, seen, bodies, [])
 
     def test_bad_bytes_in_a_fact_list_raise_after_an_equal_count_was_interned(self):
         conn = ConnectionRecord(2, None, None, None, ((5, True), (6, False)))
         good = encode_path(PathRecord(1, (conn,), ((7, True), (8, False))))
-        seen, prefix = {}, []
-        decode_path(good, 0, seen, prefix)
+        seen, bodies, prefix = {}, {}, []
+        decode_path(good, 0, seen, bodies, prefix)
         changes_at, env_at = 8 + 4 + 3 * NULL_MARKER_SIZE, len(good) - 4 - 2 * FACT_RECORD_SIZE
 
         def patched(at: int, data: bytes) -> bytes:
@@ -305,10 +344,10 @@ class TestDecodeErrors:
         for fid, at in ((6, changes_at + 4 + FACT_RECORD_SIZE), (8, env_at + 4 + FACT_RECORD_SIZE)):
             assert good[at:at + 5] == i32.pack(fid) + b"\x00"
             with pytest.raises(FormatError, match=f"fact {fid}: value byte 2"):
-                decode_path(patched(at + 4, b"\x02"), 0, seen, list(prefix))
+                decode_path(patched(at + 4, b"\x02"), 0, seen, bodies, list(prefix))
         for owner, at in (("connection 2", changes_at), ("path 1", env_at)):
             with pytest.raises(FormatError, match=f"{owner}: negative fact count -2"):
-                decode_path(patched(at, i32.pack(-2)), 0, seen, list(prefix))
+                decode_path(patched(at, i32.pack(-2)), 0, seen, bodies, list(prefix))
 
 
 def write_records(directory, records) -> list[int]:
@@ -317,6 +356,14 @@ def write_records(directory, records) -> list[int]:
     positions = [writer.append_record(r) for r in records]
     writer.close()
     merge_final_and_index(directory, [0])
+    return positions
+
+
+def write_raw_records(directory, records: list[bytes]) -> list[int]:
+    """``Final paths`` and ``Index`` holding ``records`` as given, well-formed or not."""
+    positions = [sum(map(len, records[:n])) for n in range(len(records))]
+    merged_file(directory, FINAL_PATHS_TITLE).write_bytes(b"".join(records))
+    merged_file(directory, INDEX_TITLE).write_bytes(b"".join(map(i64.pack, positions)))
     return positions
 
 
@@ -421,9 +468,9 @@ def record_chains(draw):
 def decode_in_sequence(buf: bytes) -> list[PathRecord]:
     """Decode back-to-back records with one ``prefix`` list, checking after
     each that the list holds exactly that record's connections."""
-    seen, prefix, pos, out = {}, [], 0, []
+    seen, bodies, prefix, pos, out = {}, {}, [], 0, []
     while pos < len(buf):
-        record, pos = decode_path(buf, pos, seen, prefix)
+        record, pos = decode_path(buf, pos, seen, bodies, prefix)
         assert [key for key, _ in prefix] == [encode_connection(c) for c in record.connections]
         assert all(a is b for (_, a), b in zip(prefix, record.connections, strict=True))
         out.append(record)
@@ -447,9 +494,9 @@ class TestSharedConnections:
         # Connection 0 (``a``) begins like the empty environment-fact list
         # that ends a record; bytes after the record stay out of it.
         prefix = []
-        decode_path(encode_path(PathRecord(1, (b, a))), 0, {}, prefix)
+        decode_path(encode_path(PathRecord(1, (b, a))), 0, {}, {}, prefix)
         cut = encode_path(PathRecord(2, (b,)))
-        assert decode_path(cut + encode_connection(a)[4:], 0, {}, prefix) == (PathRecord(2, (b,)), len(cut))
+        assert decode_path(cut + encode_connection(a)[4:], 0, {}, {}, prefix) == (PathRecord(2, (b,)), len(cut))
 
     def test_a_bad_value_byte_after_shared_connections_still_raises(self):
         a, b, _ = self.conns
@@ -457,9 +504,9 @@ class TestSharedConnections:
         good = encode_path(PathRecord(1, (a, b, third)))
         assert good.count(i32.pack(9) + b"\x00") == 1
         prefix = []
-        decode_path(good, 0, {}, prefix)
+        decode_path(good, 0, {}, {}, prefix)
         with pytest.raises(FormatError, match="fact 9: value byte 2"):
-            decode_path(good.replace(i32.pack(9) + b"\x00", i32.pack(9) + b"\x02"), 0, {}, prefix)
+            decode_path(good.replace(i32.pack(9) + b"\x00", i32.pack(9) + b"\x02"), 0, {}, {}, prefix)
 
     @settings(max_examples=100)
     @given(record_chains())
@@ -468,7 +515,7 @@ class TestSharedConnections:
         assert decode_in_sequence(buf) == chain
         pos, fresh = 0, []
         while pos < len(buf):
-            record, pos = decode_path(buf, pos, {}, [])
+            record, pos = decode_path(buf, pos, {}, {}, [])
             fresh.append(record)
         assert fresh == chain
 
@@ -491,7 +538,7 @@ class TestSharedConnections:
         assert records[n - 1].connections[0] == records[n].connections[0]
         assert positions[n] + 8 + len(shared) < pathstore._READ_BLOCK
         store = MergedStore(tmp_path)
-        assert list(store.iter_paths()) == [decode_path(data, p, {}, [])[0] for p in positions] == records
+        assert list(store.iter_paths()) == [decode_path(data, p, {}, {}, [])[0] for p in positions] == records
 
     def test_query_sorted_reads_through_one_open_file(self, tmp_path, monkeypatch):
         layered_run(tmp_path, workers=3)
@@ -575,9 +622,107 @@ class TestSharedFactLists:
         env_at = ends[n] - len(fact_list_bytes(records[n].env_facts))
         assert env_at + 4 < pathstore._READ_BLOCK and n >= 3
         store = MergedStore(tmp_path)
-        assert list(store.iter_paths()) == [decode_path(data, p, {}, [])[0] for p in positions] == records
+        assert list(store.iter_paths()) == [decode_path(data, p, {}, {}, [])[0] for p in positions] == records
         assert set(store._entities) == {fact_list_bytes(f) for f in envs + changes}
         self.assert_equal_lists_are_one_object(store.iter_paths())
+
+
+def body_bytes(conn: ConnectionRecord) -> bytes:
+    """A connection's stored bytes after its ID: the key of a store's body table."""
+    return encode_connection(conn)[4:]
+
+
+class TestBodyTable:
+    """Each store keeps the connections it decoded by their bodies, apart from
+    the entities and fact lists it shares."""
+
+    conn = ConnectionRecord(
+        2, EntityRecord(3, ((4, True),)), None, EntityRecord(5, ((6, False), (7, True))), ((8, True),))
+
+    def test_equal_bodies_keep_their_ids_and_share_their_fields(self, tmp_path):
+        a = self.conn
+        b, c = a._replace(id=9), a._replace(id=10)
+        seen, bodies = {}, {}
+        decode_path(encode_path(PathRecord(1, (a,))), 0, seen, bodies, [])
+        assert list(bodies) == [body_bytes(a)]
+        # With a fresh entity table, only the body table can share the fields.
+        record, _ = decode_path(encode_path(PathRecord(2, (b, c))), 0, {}, bodies, [])
+        assert record == PathRecord(2, (b, c))
+        assert all(x is y for conn in record.connections for x, y in zip(conn[1:], bodies[body_bytes(a)][1:]))
+        records = [PathRecord(1, (a, b)), PathRecord(2, (b,)), PathRecord(3, (c, a, b))]
+        positions = write_records(tmp_path, records)
+        fresh = MergedStore(tmp_path)
+        for decoded in (list(MergedStore(tmp_path).iter_paths()), [fresh.read_path_at(pos) for pos in positions]):
+            assert decoded == records
+            conns = [conn for r in decoded for conn in r.connections]
+            assert [conn.id for conn in conns] == [2, 9, 9, 10, 2, 9]
+            assert all(len({id(conn[f]) for conn in conns}) == 1 for f in range(1, 5))
+
+    def test_every_cut_in_an_interned_body_is_truncated(self):
+        seen, bodies = {}, {}
+        decode_path(encode_path(PathRecord(1, (self.conn,))), 0, seen, bodies, [])
+        interned = dict(bodies)
+        # Another ID, so only the body table could match; the path ID, connection
+        # count and connection ID come first.
+        record = PathRecord(1, (self.conn._replace(id=11),))
+        whole = encode_path(record)
+        assert decode_path(whole, 0, seen, bodies, []) == (record, len(whole))
+        for cut in range(12, len(whole)):
+            with pytest.raises(FormatError, match="truncated"):
+                decode_path(whole[:cut], 0, seen, bodies, [])
+        assert bodies == interned
+
+    def test_table_stops_at_its_limit(self, tmp_path):
+        rng = random.Random(17)
+        records = [random_record(rng) for _ in range(1000)]
+        every_body = {body_bytes(c) for r in records for c in r.connections}
+        assert len(every_body) > pathstore._BODY_LIMIT
+        positions = write_records(tmp_path, records)
+        store = MergedStore(tmp_path)
+        assert list(store.iter_paths()) == records
+        assert len(store._bodies) == pathstore._BODY_LIMIT
+        assert all(body_bytes(conn) == body for body, conn in store._bodies.items())
+        fresh = MergedStore(tmp_path)
+        assert [fresh.read_path_at(pos) for pos in positions] == records
+        assert len(fresh._bodies) == pathstore._BODY_LIMIT
+        # A full table still shares what it holds.
+        again = list(store.iter_paths())
+        assert again == records and len(store._bodies) == pathstore._BODY_LIMIT
+        held = [(conn, store._bodies[body_bytes(conn)]) for r in again for conn in r.connections
+                if body_bytes(conn) in store._bodies]
+        assert len(held) >= pathstore._BODY_LIMIT
+        assert all(x is y for conn, kept in held for x, y in zip(conn[1:], kept[1:]))
+
+    def test_bodies_and_fact_lists_are_kept_apart(self, tmp_path):
+        """No well-formed body is a well-formed non-empty fact list.  A list of m
+        facts is 4 + 5m bytes; a body of that length has exactly one absent slot,
+        and its -1 marker puts 0xff at a fact's value byte.  So one kind's stored
+        bytes can only be met where the other is read in a malformed record, which
+        must fail as it does in a store that has decoded nothing before."""
+        # A body with a -256 marker (bytes 00 ff ff ff) for its link is a fact list.
+        body = body_bytes(ConnectionRecord(9, EntityRecord(5, ()), None, EntityRecord(7, ((8, True),))))
+        assert body.count(i32.pack(-1)) == 1
+        body = body.replace(i32.pack(-1), i32.pack(-256))
+        facts = tuple((fid, raw == 1) for fid, raw in struct.iter_unpack("<iB", body[4:]))
+        assert fact_list_bytes(facts) == body
+        # A well-formed body of 24 bytes that begins with the count 4 read as a fact list.
+        conn = ConnectionRecord(9, EntityRecord(4, ()), EntityRecord(1, ()), None)
+        assert len(body_bytes(conn)) == 4 + 4 * FACT_RECORD_SIZE and body_bytes(conn)[:4] == i32.pack(4)
+        records = [
+            (encode_path(PathRecord(1, (), facts)), PathRecord(1, (), facts)),
+            (i32.pack(2) + i32.pack(1) + i32.pack(9) + body + i32.pack(0), "invalid entity marker -256"),
+            (encode_path(PathRecord(3, (conn,))), PathRecord(3, (conn,))),
+            (i32.pack(4) + i32.pack(0) + body_bytes(conn), "value byte 255"),
+        ]
+        positions = write_raw_records(tmp_path, [data for data, _ in records])
+        for order in (range(4), reversed(range(4))):
+            store = MergedStore(tmp_path)
+            for n in order:
+                if isinstance(records[n][1], PathRecord):
+                    assert store.read_path_at(positions[n]) == records[n][1]
+                else:
+                    with pytest.raises(FormatError, match=records[n][1]):
+                        store.read_path_at(positions[n])
 
 
 class TestHeldRecords:
