@@ -13,7 +13,9 @@ Normal and generic rules share one rule ID space.
 the item at fault as ``<section>[i].<list>[j]: <reason>``.
 
 Networks are immutable once built.  ``apply_fact_override`` and ``omit_rule``
-return modified copies and never touch the original.
+return modified copies and never touch the original.  Every model class but
+``Network`` is slotted: ``dataclasses.asdict(obj)`` works, ``vars(obj)`` does not.
+``dump_network`` encodes a bounded batch of items at a time.
 
 Each fact has one owner, named by its owner key: ``("container", id)``,
 ``("link", id)`` or ``ENV``.  ``Network.fact_owner`` maps a fact ID to that
@@ -64,13 +66,13 @@ class ModelValidationError(ModelError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommonProperty:
     id: int
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CustomProperty:
     """Free-form key/value annotation. Never evaluated by rules."""
 
@@ -78,7 +80,7 @@ class CustomProperty:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fact:
     id: int
     name: str
@@ -86,7 +88,7 @@ class Fact:
     common_property: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Container:
     id: int
     name: str
@@ -94,7 +96,7 @@ class Container:
     custom_properties: tuple[CustomProperty, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     """Connects two containers. Bidirectional unless ``directed`` is set, in
     which case traversal is only allowed from ``endpoint_a`` to
@@ -109,7 +111,7 @@ class Link:
     custom_properties: tuple[CustomProperty, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyCondition:
     """Generic-rule condition: the entity at ``position`` must hold a fact
     bound to ``common_property`` (with value ``value``, for preconditions)."""
@@ -119,13 +121,13 @@ class PropertyCondition:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactCondition:
     fact: int
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyAssignment:
     """Normal-rule postcondition hitting every fact bound to a property."""
 
@@ -133,7 +135,7 @@ class PropertyAssignment:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleImpacts:
     """Optional metric annotations, each in [0, 1]."""
 
@@ -142,7 +144,10 @@ class RuleImpacts:
     integrity: float = 0.0
 
 
-@dataclass(frozen=True)
+_IMPACT_NAMES = ("availability", "confidentiality", "integrity")
+
+
+@dataclass(frozen=True, slots=True)
 class NormalRule:
     id: int
     name: str
@@ -152,7 +157,7 @@ class NormalRule:
     impacts: RuleImpacts = RuleImpacts()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenericRule:
     id: int
     name: str
@@ -162,7 +167,7 @@ class GenericRule:
     impacts: RuleImpacts = RuleImpacts()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     id: int
     command: str
@@ -363,7 +368,7 @@ def validate_network(net: Network) -> list[str]:
         for aid in r.action_ids:
             if aid not in action_ids:
                 out.append(f"rule {r.id} references unknown action {aid}")
-        for name in ("availability", "confidentiality", "integrity"):
+        for name in _IMPACT_NAMES:
             v = getattr(r.impacts, name)
             if not (0.0 <= v <= 1.0):
                 out.append(f"rule {r.id} {name} impact {v} outside [0, 1]")
@@ -437,9 +442,8 @@ def _impacts(obj) -> RuleImpacts:
     raw = obj.get("impacts", {})
     if not isinstance(raw, dict):
         raise ModelParseError("impacts: expected an object")
-    known = {"availability", "confidentiality", "integrity"}
     for k, v in raw.items():
-        if k not in known:
+        if k not in _IMPACT_NAMES:
             raise ModelParseError(f"impacts: unknown key {k!r}")
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ModelParseError(f"impacts.{k}: expected a number, got {v!r}")
@@ -610,27 +614,40 @@ def _rule_obj(r: Rule):
         obj["postconditions"] = [_condition_obj(c) for c in r.postconditions]
     if r.action_ids:
         obj["actions"] = list(r.action_ids)
-    impacts = {k: v for k, v in vars(r.impacts).items() if v}
+    impacts = {k: v for k in _IMPACT_NAMES if (v := getattr(r.impacts, k))}
     if impacts:
         obj["impacts"] = impacts
     return obj
 
 
+_DUMP_BATCH = 64  # Items ``dump_network`` encodes at a time, bounding its transient memory.
+
+
 def dump_network(net: Network) -> str:
     """Render a network back to its document form; empty sections are left out.
 
-    ``load_network(dump_network(net))`` returns an equal network.
+    ``load_network(dump_network(net))`` returns an equal network.  The text is
+    ``json.dumps(document, indent=2) + "\\n"``, each batch's list text stripped of its
+    brackets and moved one level in (JSON strings hold no raw newline), joined once.
     """
-    doc = {
-        "common_properties": [{"id": p.id, "name": p.name} for p in net.common_properties],
-        "containers": [_entity_obj({"id": c.id, "name": c.name}, c) for c in net.containers],
-        "links": [_link_obj(l) for l in net.links],
-        "environment_facts": [_fact_obj(f) for f in net.environment_facts],
-        "normal_rules": [_rule_obj(r) for r in net.normal_rules],
-        "generic_rules": [_rule_obj(r) for r in net.generic_rules],
-        "actions": [{"id": a.id, "command": a.command, "enabled": a.enabled} for a in net.actions],
-    }
-    return json.dumps({k: v for k, v in doc.items() if v}, indent=2) + "\n"
+    encode = json.JSONEncoder(indent=2).encode
+    parts = []
+    for key, items, obj in (
+        ("common_properties", net.common_properties, lambda p: {"id": p.id, "name": p.name}),
+        ("containers", net.containers, lambda c: _entity_obj({"id": c.id, "name": c.name}, c)),
+        ("links", net.links, _link_obj),
+        ("environment_facts", net.environment_facts, _fact_obj),
+        ("normal_rules", net.normal_rules, _rule_obj),
+        ("generic_rules", net.generic_rules, _rule_obj),
+        ("actions", net.actions, lambda a: {"id": a.id, "command": a.command, "enabled": a.enabled}),
+    ):
+        for i in range(0, len(items), _DUMP_BATCH):
+            text = encode([obj(x) for x in items[i:i + _DUMP_BATCH]])[2:-2].replace("\n", "\n  ")
+            parts += (",\n  " if i else f'{"," if parts else "{"}\n  "{key}": [\n  ', text)
+        if items:
+            parts.append("\n  ]")
+    parts.append("\n}\n" if parts else "{}\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,8 @@ _BOOLS = (False, True)
 _BLOCK_RECORDS = 8192
 # Bytes of ``Final paths`` read at a time; a longer record is read whole.
 _READ_BLOCK = 1 << 16
-# Bytes ``read_path_at`` reads first; ``_decode_at`` reads on for a longer record.
+# Bytes ``read_path_at`` reads first, and ``iter_paths`` keeps at hand before a record;
+# ``_decode_at`` reads on for a longer one.
 _FIRST_READ = 1 << 12
 # Record bytes a store keeps by position for ``read_path_at``; never evicted.
 _HELD_LIMIT = 1 << 20
@@ -643,11 +644,16 @@ class MergedStore:
 
     def iter_paths(self) -> Iterator[PathRecord]:
         """Decode ``Final paths`` front to back, one record per index entry,
-        ``_READ_BLOCK`` bytes at a time; the file must end after the last one."""
+        ``_READ_BLOCK`` bytes at a time; the file must end after the last one.
+        It reads on before a record once fewer than ``_FIRST_READ`` bytes are
+        left, so that only a longer record is cut and decoded again."""
         count, prefix = self.count, []
         with open(self._finals, "rb", buffering=0) as fh:
-            buf, pos = fh.read(_READ_BLOCK), 0
+            buf, pos, more = fh.read(_READ_BLOCK), 0, True
             for n in range(count):
+                if more and len(buf) - pos < _FIRST_READ:
+                    more = fh.read(_READ_BLOCK)
+                    buf, pos = buf[pos:] + more, 0
                 try:
                     record, buf, pos = _decode_at(
                         fh.fileno(), buf, pos, self._entities, self._bodies, prefix)

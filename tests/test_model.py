@@ -1,8 +1,16 @@
+import copy
+import dataclasses
+import hashlib
 import json
+import math
+import pickle
 import random
+import tracemalloc
+from functools import lru_cache
 
 import pytest
 
+from attackpaths import model
 from attackpaths.model import (
     Action,
     CommonProperty,
@@ -33,7 +41,7 @@ from attackpaths.model import (
     parse_network,
     validate_network,
 )
-from attackpaths.synth import SyntheticSpec, generate_model
+from attackpaths.synth import TEMPLATES, SyntheticSpec, generate_model
 
 
 def tiny_net(**overrides) -> Network:
@@ -127,6 +135,179 @@ class TestRoundTrip:
 
     def test_file_loader(self, filter_test_path, filter_net):
         assert load_network_file(filter_test_path) == filter_net
+
+
+def reference_dump(net: Network) -> str:
+    """``dump_network``'s text built the plain way: the whole document as
+    dicts, then one ``json.dumps``."""
+    def fact(f):
+        obj = {"id": f.id, "name": f.name, "value": f.value}
+        if f.common_property is not None:
+            obj["common_property"] = f.common_property
+        return obj
+
+    def entity(obj, e):
+        if e.facts:
+            obj["facts"] = [fact(f) for f in e.facts]
+        if e.custom_properties:
+            obj["custom_properties"] = [{"key": p.key, "value": p.value} for p in e.custom_properties]
+        return obj
+
+    def link(l):
+        obj = {"id": l.id, "name": l.name, "from": l.endpoint_a, "to": l.endpoint_b}
+        if l.directed:
+            obj["directed"] = True
+        return entity(obj, l)
+
+    def condition(c):
+        if isinstance(c, FactCondition):
+            return {"fact": c.fact, "value": c.value}
+        if isinstance(c, PropertyAssignment):
+            return {"property": c.common_property, "value": c.value}
+        return {"position": c.position.value, "property": c.common_property, "value": c.value}
+
+    def rule(r):
+        obj = {"id": r.id, "name": r.name, "preconditions": [condition(c) for c in r.preconditions]}
+        if r.postconditions:
+            obj["postconditions"] = [condition(c) for c in r.postconditions]
+        if r.action_ids:
+            obj["actions"] = list(r.action_ids)
+        impacts = {k: v for k, v in dataclasses.asdict(r.impacts).items() if v}
+        if impacts:
+            obj["impacts"] = impacts
+        return obj
+
+    doc = {
+        "common_properties": [{"id": p.id, "name": p.name} for p in net.common_properties],
+        "containers": [entity({"id": c.id, "name": c.name}, c) for c in net.containers],
+        "links": [link(l) for l in net.links],
+        "environment_facts": [fact(f) for f in net.environment_facts],
+        "normal_rules": [rule(r) for r in net.normal_rules],
+        "generic_rules": [rule(r) for r in net.generic_rules],
+        "actions": [{"id": a.id, "command": a.command, "enabled": a.enabled} for a in net.actions],
+    }
+    return json.dumps({k: v for k, v in doc.items() if v}, indent=2) + "\n"
+
+
+@lru_cache(maxsize=None)
+def layered_net(template: str) -> Network:
+    return generate_model(SyntheticSpec("layered", width=20, depth=5, template=template, seed=3))
+
+
+def sized_net(n: int, name: str = "x") -> Network:
+    """An unvalidated network with ``n`` items in every section, each named ``name``."""
+    fact = lambda i: Fact(i, name, i % 2 == 0, i % 3 or None)
+    return Network(
+        containers=tuple(Container(i, name, (fact(i),), (CustomProperty(name, name),))
+                         for i in range(n)),
+        links=tuple(Link(i, name, i, i + 1, i % 2 == 1, (fact(n + i),)) for i in range(n)),
+        common_properties=tuple(CommonProperty(i, name) for i in range(n)),
+        environment_facts=tuple(fact(2 * n + i) for i in range(n)),
+        normal_rules=tuple(
+            NormalRule(i, name, (FactCondition(i, True),), (PropertyAssignment(1, False),),
+                       (i,), RuleImpacts(integrity=i / n))
+            for i in range(n)),
+        generic_rules=tuple(
+            GenericRule(n + i, name, (PropertyCondition(Position.END, 1, True),)) for i in range(n)),
+        actions=tuple(Action(i, name, i % 2 == 0) for i in range(n)),
+    )
+
+
+# SHA-256 of dump_network(layered_net(template)).
+DUMP_PINS = {
+    "pass_through": "452aa36271f5768e55be2aff6202feeb78f530004a4f70ef1853b1827b34d1aa",
+    "no_link_retraversal": "f95af0996a91ae7f3e62c4d1ae774eacdcd7b816fa3e7fa446fa5f82164c59ba",
+    "no_revisit": "6af9c5d37869e214b4d044327b7b18a9778d95d23e0a90b1ff774e4721228f28",
+}
+
+
+class TestDumpText:
+    """``dump_network`` writes exactly ``reference_dump``'s bytes, in bounded memory."""
+
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_synth_templates(self, template):
+        net = layered_net(template)
+        assert len(net.links) > 2 * model._DUMP_BATCH
+        text = dump_network(net)
+        assert text == reference_dump(net)
+        assert hashlib.sha256(text.encode()).hexdigest() == DUMP_PINS[template]
+
+    def test_every_section_and_empty_networks(self):
+        assert dump_network(every_section_net()) == reference_dump(every_section_net())
+        assert dump_network(Network()) == reference_dump(Network()) == "{}\n"
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 255, 256, 257])
+    def test_sections_around_the_batch_size(self, n):
+        assert model._DUMP_BATCH == 64
+        net = sized_net(n)
+        assert dump_network(net) == reference_dump(net)
+
+    def test_names_that_need_escapes(self):
+        net = sized_net(300, 'é"\\\n\tx')
+        text = dump_network(net)
+        assert text == reference_dump(net)
+        assert parse_network(text).containers[0].name == 'é"\\\n\tx'
+
+    def test_unvalidated_rule_with_nan_and_infinite_impacts(self):
+        impacts = RuleImpacts(availability=math.nan, confidentiality=math.inf, integrity=-math.inf)
+        net = Network(normal_rules=(NormalRule(1, "r", (), impacts=impacts),))
+        text = dump_network(net)
+        assert text == reference_dump(net)
+        assert '"availability": NaN' in text and '"integrity": -Infinity' in text
+
+    def test_peak_memory_stays_near_the_output(self):
+        net = generate_model(SyntheticSpec("layered", width=20, depth=5))
+        tracemalloc.start()
+        try:
+            text = dump_network(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text), (peak, len(text))
+
+
+# One instance of every model class but Network, fields all set.
+LEAVES = [
+    CommonProperty(1, "p"),
+    CustomProperty("k", "v"),
+    Fact(1, "f", True, 2),
+    Container(1, "c", (Fact(1, "f", True),), (CustomProperty("k", "v"),)),
+    Link(1, "l", 1, 2, True, (Fact(2, "g", False),), (CustomProperty("k", "v"),)),
+    PropertyCondition(Position.LINK, 1, True),
+    FactCondition(1, False),
+    PropertyAssignment(1, True),
+    RuleImpacts(0.1, 0.2, 0.3),
+    NormalRule(1, "n", (FactCondition(1, True),), (PropertyAssignment(1, False),), (7,),
+               RuleImpacts(0.5)),
+    GenericRule(2, "g", (PropertyCondition(Position.START, 1, True),),
+                (PropertyCondition(Position.END, 1, False),), (7,), RuleImpacts(0.0, 0.5)),
+    Action(7, "true", False),
+]
+
+
+class TestSlottedClasses:
+    def test_every_leaf_class_is_listed(self):
+        frozen = {cls for cls in vars(model).values()
+                  if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                  and cls.__module__ == model.__name__}
+        assert frozen - {Network} == {type(obj) for obj in LEAVES}
+
+    @pytest.mark.parametrize("obj", LEAVES, ids=lambda obj: type(obj).__name__)
+    def test_slotted_and_frozen(self, obj):
+        assert not hasattr(obj, "__dict__")
+        first = dataclasses.fields(obj)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, first, getattr(obj, first))
+        # Not a field: CPython 3.10-3.13 raise TypeError here, a defect of frozen slotted
+        # dataclasses; a fixed CPython raises FrozenInstanceError, an AttributeError.
+        with pytest.raises((TypeError, AttributeError)):
+            obj.extra = 1
+        state = dataclasses.asdict(obj)
+        assert list(state) == [f.name for f in dataclasses.fields(obj)]
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), dataclasses.replace(obj)):
+            assert type(twin) is type(obj) and twin is not obj
+            assert twin == obj and hash(twin) == hash(obj)
+            assert dataclasses.asdict(twin) == state
 
 
 class TestParseErrors:

@@ -404,6 +404,25 @@ class TestStoreReads:
         assert list(store.iter_paths()) == records
         assert len(store._entities) == pathstore._INTERN_LIMIT
 
+    def test_a_pass_decodes_each_short_record_once(self, tmp_path, monkeypatch):
+        rng = random.Random(29)
+        records = [random_record(rng) for _ in range(1500)]
+        positions = write_records(tmp_path, records)
+        ends = positions[1:] + [merged_file(tmp_path, FINAL_PATHS_TITLE).stat().st_size]
+        assert max(end - pos for pos, end in zip(positions, ends)) < pathstore._FIRST_READ
+        block = pathstore._READ_BLOCK
+        crossing = [n for n, (pos, end) in enumerate(zip(positions, ends)) if pos // block < (end - 1) // block]
+        assert len(crossing) >= 2, "no record crosses a read block"
+        decoded = []
+
+        def counting_decode(buf, pos, *args):
+            decoded.append(pos)
+            return decode_path(buf, pos, *args)
+
+        monkeypatch.setattr(pathstore, "decode_path", counting_decode)
+        assert list(MergedStore(tmp_path).iter_paths()) == records
+        assert len(decoded) == len(records)
+
     def test_record_longer_than_a_read_block(self, tmp_path):
         facts = tuple((i, i % 3 == 0) for i in range(20000))
         big = PathRecord(5, (ConnectionRecord(6, EntityRecord(7, facts), None, None, ((1, True),)),))
