@@ -1,7 +1,8 @@
 """Command-line harness.
 
 Subcommands: ``run`` (traverse a model and persist results), ``query`` (top-k
-paths from a finished run: a directory with a ``summary``), ``gen`` (synthetic
+paths from a finished run: a directory with a ``summary``; read from the worker
+sort files, with no merged sort file written), ``gen`` (synthetic
 benchmark models), ``compare`` (single vs multi-worker timing and path-set
 equality, leaving two finished runs), ``validate`` and ``export-dot``.
 
@@ -165,11 +166,11 @@ def cmd_query(args) -> int:
         raise CliError(f"-k must be 0 or more, got {args.k}")
     key = _SORT_KEYS[args.key]
     try:
-        rows = zip(store.query_sorted(key, args.k), store.top_values(key, args.k))
+        rows = store.top_rows(key, args.k)
     except OSError as e:
         raise CliError(f"run directory {out_dir} is damaged: {e}") from None
     print(f"{'#':>4}  {'path':>8}  {'chain':>5}  {args.key}")
-    for rank, ((_, record), value) in enumerate(rows, start=1):
+    for rank, (_, record, value) in enumerate(rows, start=1):
         shown = f"{value:.6g}" if isinstance(value, float) else str(value)
         print(f"{rank:>4}  {record.id:>8}  {len(record.connections):>5}  {shown}")
     return 0

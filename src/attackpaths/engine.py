@@ -2,9 +2,10 @@
 workers.
 
 Both modes run ``traversal.search_loop``: ``run_single`` as worker 0 of 1 in
-the calling process, and ``run_multi`` in one forked process per worker.  A
-worker's failure surfaces as ``EngineError``; an error raised in the calling
-process, in either mode, is raised unchanged.
+the calling process, and ``run_multi`` in one forked process per worker; only
+``run_multi`` and its helpers import ``multiprocessing`` and ``queue``, at first
+use.  A worker's failure surfaces as ``EngineError``; an error raised in the
+calling process, in either mode, is raised unchanged.
 ``search_loop`` applies every bound; a multi-worker run shares the counts it
 checks them against and one stop word, which holds its stop reason.
 Before each pop, a worker whose stack holds two or more paths puts the
@@ -31,9 +32,7 @@ is merged or cleared.  A worker stops the run once its caller has died.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue
 import signal
 import sys
 import time
@@ -250,6 +249,7 @@ def _idle_wait(shared: SharedState):
     """Add one to the idle count and sleep until the bell rings.  Returns a
     batch from the hand-off queue, or None when the run is over.  The worker
     whose step brings the count to the worker count ends the run."""
+    import queue  # here, not at the top: only run_multi's workers and caller use it
     with shared.coord_lock:
         shared.idle.value += 1
         last = shared.idle.value == shared.worker_count
@@ -305,6 +305,7 @@ def _wait_for_workers(shared: SharedState, procs: list) -> list[RunSummary]:
     """Each worker's summary, once every worker has reported.  A reported
     traceback raises ``EngineError`` naming it; a worker that died without
     reporting raises one naming its exit code, once what is queued is read."""
+    import queue  # here, not at the top: only run_multi's workers and caller use it
     messages = []
     while len(messages) < len(procs):
         dead = [p.exitcode for p in procs if p.exitcode not in (None, 0)]
@@ -329,6 +330,7 @@ def run_multi(
 ) -> tuple[MergedStore, RunSummary]:
     """Run the multi-worker search, returning the merged store and the
     aggregated run summary."""
+    import multiprocessing  # here, not at the top: a process that never forks never loads it
 
     def search(out_path):
         workers = config.resolved_workers()

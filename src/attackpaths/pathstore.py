@@ -37,7 +37,8 @@ worker's final-path and index files into place, appends the others' records
 and offset-shifted index entries in worker order and deletes their files, so
 each path is stored once.  Each merged sort file is built lazily: the
 per-worker streams are k-way merged on highest value and only the
-offset-adjusted int64 position is written.  Every merged file is written to
+offset-adjusted int64 position is written; ``MergedStore.top_rows`` takes the first
+k rows of that merge and writes nothing.  Every merged file is written to
 ``<title>.partial``, which is renamed onto ``<title>`` only once complete.
 ``metric_values`` joins a key's worker sort files with ``Index``.
 
@@ -688,10 +689,25 @@ class MergedStore:
         return list(struct.unpack(f"<{n}q", data))
 
     def query_sorted(self, key: SortKey, k: int) -> list[tuple[int, PathRecord]]:
-        """Top-k paths by the key, best first, as (position, record) pairs read through one
-        descriptor.  Ties go by position, so answers often share leading connections.  A read
-        error names the merged sort file and its row: the lazy merge does not check positions."""
-        positions, prefix, answer = self.sorted_positions(key, k), [], []
+        """Top-k paths by the key, best first, as (position, record) pairs, at the positions
+        of the merged sort file, which the first call for the key writes."""
+        return self._read_rows(key, self.sorted_positions(key, k))
+
+    def top_rows(self, key: SortKey, k: int) -> list[tuple[int, PathRecord, object]]:
+        """``query_sorted(key, k)``'s pairs, each with its path's value, as (position, record,
+        value): the first k of one merge of the worker sort files.  Writes no merged sort file."""
+        if k < 0:
+            raise ValueError(f"k must be 0 or more, got {k}")
+        with _k_way_merge(self.directory, key) as merged:
+            heads = list(islice(merged, k))
+        rows = self._read_rows(key, [pos for _, pos in heads])
+        return [(pos, record, -negated) for (pos, record), (negated, _) in zip(rows, heads)]
+
+    def _read_rows(self, key: SortKey, positions: list[int]) -> list[tuple[int, PathRecord]]:
+        """(position, record) per position, read through one descriptor.  Ties go by position,
+        so answers often share leading connections.  A read error names the key's title and
+        its row: the lazy merge does not check positions."""
+        prefix, answer = [], []
         fd = os.open(self._finals, os.O_RDONLY)
         try:
             for pos in positions:
@@ -701,12 +717,6 @@ class MergedStore:
         finally:
             os.close(fd)
         return answer
-
-    def top_values(self, key: SortKey, k: int) -> list:
-        """The values of ``sorted_positions(key, k)``, in that order: the
-        first k pairs of the worker sort files' merge."""
-        with _k_way_merge(self.directory, key) as merged:
-            return [-negated for negated, _ in islice(merged, k)]
 
     def metric_values(self, key: SortKey) -> MetricValues:
         """Merged position -> value of ``key`` per stored path, joined from the

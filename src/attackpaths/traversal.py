@@ -35,7 +35,6 @@ A run calls ``check_search`` first; past it, moves come from
 from __future__ import annotations
 
 import itertools
-import subprocess
 import time
 from collections import ChainMap
 from dataclasses import asdict, dataclass
@@ -80,9 +79,9 @@ ACTION_TIMEOUT = 10.0
 class ActionExecutor:
     """Runs rule actions and keeps a record per invocation.
 
-    Dry-run mode records the command without touching the host.  Execution
-    failures are recorded, never raised: a broken action must not abort a
-    traversal.
+    Dry-run mode records the command without touching the host; only execute
+    mode imports ``subprocess``, at its first action.  Execution failures are
+    recorded, never raised: a broken action must not abort a traversal.
     """
 
     def __init__(self, mode: ActionMode = ActionMode.DRY_RUN):
@@ -95,6 +94,7 @@ class ActionExecutor:
         if self.mode is ActionMode.DRY_RUN:
             self.records.append(ActionRecord(rule_id, action.id, action.command, "dry-run"))
             return
+        import subprocess  # here, not at the top: only an executed action runs a command
         try:
             proc = subprocess.run(
                 action.command,

@@ -296,6 +296,29 @@ class TestQuery:
         assert run_cli("query", "--out", str(tmp_path), "-k", "0") == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_query_prints_the_library_answer_and_writes_no_sort_file(self, workers, tmp_path, capsys):
+        # layered pass_through ties the three impact keys on every path, so their
+        # rows follow positions, and with two workers both workers' positions.
+        store, summary = layered_run(tmp_path, workers=workers)
+        n = summary.total_final_paths
+        printed = {}
+        for name in _SORT_KEYS:
+            for k in (0, 1, 3, n, n + 5):
+                assert run_cli("query", "--out", str(tmp_path), "--key", name, "-k", str(k)) == 0
+                printed[name, k] = capsys.readouterr().out
+        assert [key for key in SortKey if merged_file(tmp_path, key.title).exists()] == []
+        assert len(set(store.metric_values(SortKey.AVAILABILITY).values())) == 1
+        for (name, k), out in printed.items():
+            key = _SORT_KEYS[name]
+            values = store.metric_values(key)
+            lines = [f"{'#':>4}  {'path':>8}  {'chain':>5}  {name}"]
+            for rank, (pos, record) in enumerate(store.query_sorted(key, k), start=1):
+                shown = str(values[pos]) if key is SortKey.ID else f"{values[pos]:.6g}"
+                lines.append(f"{rank:>4}  {record.id:>8}  {len(record.connections):>5}  {shown}")
+            assert out == "\n".join(lines) + "\n", (name, k)
+            assert len(lines) == 1 + min(k, n)
+
     def test_key_choices_follow_file_titles(self):
         assert sorted(_SORT_KEYS) == [
             "availability", "confidentiality", "id", "integrity",

@@ -798,6 +798,31 @@ def running(pids) -> set[int]:
     return {pid for pid in pids if pid in states and states[pid][0] != "Z"}
 
 
+def watch_exits(caller: subprocess.Popen, workers: set[int], since: float) -> dict[int, float]:
+    """Seconds from ``since`` to the exit of the caller and of each worker, polled every
+    0.05 s until all have exited or 5 s have passed.  The caller is reaped once it exits."""
+    exits = {}
+    while True:
+        now = time.monotonic() - since
+        if caller.poll() is not None:
+            exits.setdefault(caller.pid, now)
+        for pid in workers - running(workers):
+            exits.setdefault(pid, now)
+        if len(exits) == 1 + len(workers) or now >= 5.0:
+            return exits
+        time.sleep(0.05)
+
+
+def exit_report(caller: int, workers: set[int], exits: dict[int, float]) -> str:
+    """Each process's role, pid, state letter ("gone" once reaped) and exit time."""
+    states = process_states()
+    return "; ".join(
+        f"{role} {pid}: state {states.get(pid, ('gone',))[0]}, "
+        + (f"exited {exits[pid]:.2f} s after the signal" if pid in exits else "still running")
+        for role, pid in [("caller", caller)] + [("worker", pid) for pid in sorted(workers)]
+    )
+
+
 def dir_bytes(directory: Path) -> int:
     return sum(f.stat().st_size for f in directory.iterdir())
 
@@ -831,13 +856,12 @@ class TestCallerSignals:
             time.sleep(2.0)
             assert caller.poll() is None, "the run ended before the signal"
             os.kill(caller.pid, sig)
-            signalled = time.monotonic()
+            exits = watch_exits(caller, workers, time.monotonic())
+            report = exit_report(caller.pid, workers, exits)
             if sig != signal.SIGKILL:
-                caller.wait(timeout=5.0)
-                assert os.listdir(out) == []
-            while running(workers) and time.monotonic() < signalled + 5.0:
-                time.sleep(0.05)
-            assert running(workers) == set()
+                assert exits.get(caller.pid, 5.0) < 5.0, report
+                assert os.listdir(out) == [], report
+            assert running(workers) == set(), report
             size = dir_bytes(out)
             time.sleep(0.5)
             assert dir_bytes(out) == size

@@ -1229,9 +1229,13 @@ class TestMerge:
             store = MergedStore(run_dir)
             values = store.metric_values(key)
             n = store.count
-            for k in (0, 1, 5, n, n + 3):
-                expected = [values[pos] for pos in store.sorted_positions(key, k)]
-                assert store.top_values(key, k) == expected, (tied, k)
+            ks = (0, 1, 5, n, n + 3)
+            # Each from a fresh store, so no record is decoded before; none writes a merged file.
+            rows = {k: MergedStore(run_dir).top_rows(key, k) for k in ks}
+            assert not merged_file(run_dir, key.title).exists()
+            for k in ks:
+                expected = [(pos, record, values[pos]) for pos, record in store.query_sorted(key, k)]
+                assert rows[k] == expected, (tied, k)
                 assert len(expected) == min(k, n)
 
     @pytest.mark.parametrize("block", [None, 2])
@@ -1296,7 +1300,7 @@ class TestMerge:
     def test_a_negative_k_is_rejected(self, tmp_path):
         random_run(tmp_path, workers=2)
         store = MergedStore(tmp_path)
-        for call in (store.sorted_positions, store.query_sorted):
+        for call in (store.sorted_positions, store.query_sorted, store.top_rows):
             with pytest.raises(ValueError, match=r"^k must be 0 or more, got -1$"):
                 call(SortKey.ID, -1)
 
